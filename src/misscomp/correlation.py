@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
-from .indicators import IndicatorMatrix
+from .indicators import IndicatorMatrix, cooccurrence
 
 PEARSON = "pearson"
 TETRACHORIC = "tetrachoric"
@@ -130,14 +130,6 @@ def pearson(ind: IndicatorMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(r, PEARSON)
 
 
-def _table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n11 = int(np.sum((x == 1) & (y == 1)))
-    n10 = int(np.sum((x == 1) & (y == 0)))
-    n01 = int(np.sum((x == 0) & (y == 1)))
-    n00 = int(np.sum((x == 0) & (y == 0)))
-    return np.array([[n11, n10], [n01, n00]], dtype=np.float64)
-
-
 def tetrachoric_from_table(table: np.ndarray, pair: tuple[int, int] = (0, 1)) -> float:
     """Two-step ML tetrachoric correlation from a 2x2 table.
 
@@ -185,15 +177,22 @@ def tetrachoric_from_table(table: np.ndarray, pair: tuple[int, int] = (0, 1)) ->
 
 
 def tetrachoric(ind: IndicatorMatrix) -> CorrelationMatrix:
-    """Pairwise tetrachoric correlation matrix of the indicator columns."""
+    """Pairwise tetrachoric correlation matrix of the indicator columns.
+
+    Every pair's 2x2 table comes from one co-occurrence count matrix: the
+    both-missing count is C_ij and the column sums sit on its diagonal.
+    """
     if ind.k < 2:
         raise ValueError("need at least 2 indicator columns")
-    k = ind.k
+    k, n = ind.k, ind.n
+    c = cooccurrence(ind.values)
+    m = np.diag(c)
     r = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            rho = tetrachoric_from_table(_table(ind.values[:, i], ind.values[:, j]), (i, j))
-            r[i, j] = r[j, i] = rho
+            n11 = c[i, j]
+            table = np.array([[n11, m[i] - n11], [m[j] - n11, n - m[i] - m[j] + n11]])
+            r[i, j] = r[j, i] = tetrachoric_from_table(table, (i, j))
     return CorrelationMatrix(r, TETRACHORIC)
 
 

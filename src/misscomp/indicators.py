@@ -14,6 +14,13 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
+# cap, in entries, on each scratch array of a co-occurrence count and of a
+# block of permutation-null replications
+SCRATCH_ENTRIES = 1 << 20
+# float32 holds every integer up to 2**24 exactly, so a count summed over at
+# most this many rows is exact
+_FLOAT32_EXACT_ROWS = 1 << 24
+
 
 class ColumnNotFoundError(KeyError):
     """A requested column name is not in the dataset."""
@@ -114,6 +121,26 @@ class IndicatorMatrix:
     def fully_missing_rows(self) -> np.ndarray:
         """Boolean mask of rows missing on every retained variable."""
         return self.values.all(axis=1) if self.k else np.zeros(self.n, dtype=bool)
+
+
+def cooccurrence(values: np.ndarray) -> np.ndarray:
+    """Exact co-occurrence counts ``XᵀX`` of a 0/1 matrix, as float64.
+
+    Entry (i, j) counts the rows where columns i and j are both 1, so the
+    diagonal holds the column sums. A stack of matrices, shape (..., n, k),
+    gives one count matrix each. Rows go through a float32 BLAS product in
+    chunks of at most ``SCRATCH_ENTRIES`` entries and 2**24 rows; each
+    chunk's counts are integers that float32 represents exactly, and they
+    add up in float64.
+    """
+    n, k = values.shape[-2:]
+    width = max(values.size // max(n, 1), 1)  # entries per row across the stack
+    step = max(1, min(SCRATCH_ENTRIES // width, _FLOAT32_EXACT_ROWS))
+    counts = np.zeros(values.shape[:-2] + (k, k))
+    for start in range(0, n, step):
+        x = values[..., start : start + step, :].astype(np.float32)
+        counts += np.swapaxes(x, -1, -2) @ x
+    return counts
 
 
 @dataclass

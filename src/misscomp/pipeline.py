@@ -105,12 +105,14 @@ def ingest(
     The first row is the header. A column is numeric when at least 90% of
     its non-missing cells parse as numbers (the stragglers become missing);
     otherwise it is categorical and cells stay strings. Cells matching a
-    sentinel are missing either way.
+    sentinel are missing either way. The file is read as UTF-8; a leading
+    byte-order mark is dropped, so it never becomes part of the first
+    column name.
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     rows = list(csv.reader(text.splitlines(), delimiter=delimiter))
     if not rows:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicators import IndicatorMatrix
+from .indicators import SCRATCH_ENTRIES, IndicatorMatrix, cooccurrence
 
 KAISER = "kaiser"
 EKC = "ekc"
@@ -19,9 +19,6 @@ PA_REPS = 100
 PA_PERCENTILE = 0.95
 PA_MAX_DROP_FRACTION = 0.10
 PL_VARIANCE_FLOOR = 1e-12
-
-# cap on float64 scratch for the permutation null, in entries
-_PA_CHUNK_ENTRIES = 25_000_000
 
 
 @dataclass
@@ -82,22 +79,32 @@ def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
 
     Each replication draws its permutations from a stream spawned off
     (seed, replication index), so the result is identical however the work
-    is scheduled. The heavy linear algebra runs batched.
+    is scheduled. Permuting a column keeps its count of ones m, so every
+    replication's Pearson matrix follows from its exact co-occurrence
+    counts C alone: r = (n C - m mᵀ) / (s sᵀ) with s = sqrt(n m - m²).
+    Replications run in blocks of permuted uint8 copies; a block holds one
+    copy (n·k bytes) or as many as fit in ``SCRATCH_ENTRIES`` bytes, and its
+    float scratch is capped at ``SCRATCH_ENTRIES`` entries per array, so
+    memory does not grow with reps; the output is reps·k floats.
     """
     n, k = ind.values.shape
     streams = np.random.SeedSequence(seed).spawn(reps)
-    out = np.empty((reps, k))
-    chunk = max(1, _PA_CHUNK_ENTRIES // (n * k))
     base = ind.values
-    for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        block = np.empty((stop - start, n, k), dtype=np.float64)
+    m = base.sum(axis=0, dtype=np.float64)
+    s = np.sqrt(n * m - m * m)
+    mm = np.outer(m, m)
+    ss = np.outer(s, s)
+    out = np.empty((reps, k))
+    batch = max(1, SCRATCH_ENTRIES // max(n * k, k * k))
+    for start in range(0, reps, batch):
+        stop = min(start + batch, reps)
+        perm = np.empty((stop - start, n, k), dtype=np.uint8)
         for i, r in enumerate(range(start, stop)):
-            block[i] = np.random.default_rng(streams[r]).permuted(base, axis=0)
-        block -= block.mean(axis=1, keepdims=True)
-        norms = np.sqrt((block * block).sum(axis=1))
-        corr = np.matmul(block.transpose(0, 2, 1), block)
-        corr /= norms[:, :, None] * norms[:, None, :]
+            np.random.default_rng(streams[r]).permuted(base, axis=0, out=perm[i])
+        corr = cooccurrence(perm)
+        corr *= n
+        corr -= mm
+        corr /= ss
         out[start:stop] = np.linalg.eigvalsh(corr)[:, ::-1]
     return out
 

@@ -168,6 +168,17 @@ class TestTetrachoric:
         np.testing.assert_allclose(np.diag(c.values), 1.0)
         assert abs(c.values[0, 1] - 0.5) < 0.08
 
+    def test_matrix_matches_per_pair_counted_tables(self, rng):
+        values = (rng.random((300, 4)) < [0.2, 0.4, 0.5, 0.7]).astype(np.uint8)
+        values[0] = 0
+        values[1] = 1
+        c = tetrachoric(indicator_matrix(values))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                x, y = values[:, i] == 1, values[:, j] == 1
+                table = [[np.sum(x & y), np.sum(x & ~y)], [np.sum(~x & y), np.sum(~x & ~y)]]
+                assert c.values[i, j] == c.values[j, i] == tetrachoric_from_table(table, (i, j))
+
     def test_estimate_monotone_in_concordance(self):
         weak = tetrachoric_from_table(np.array([[30, 20], [20, 30]]))
         strong = tetrachoric_from_table(np.array([[45, 5], [5, 45]]))

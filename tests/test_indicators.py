@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misscomp import indicators
 from misscomp.indicators import (
     CATEGORICAL,
     NUMERIC,
@@ -10,6 +11,7 @@ from misscomp.indicators import (
     Dataset,
     EmptyIndicatorError,
     build_indicators,
+    cooccurrence,
     tabulate_patterns,
 )
 
@@ -149,6 +151,31 @@ class TestPatternTable:
         assert by_pattern["11"] == 2
         assert by_pattern["01"] == 1
         assert by_pattern["00"] == 0
+
+
+class TestCooccurrence:
+    def test_matches_integer_product(self, rng):
+        values = (rng.random((700, 9)) < 0.3).astype(np.uint8)
+        ints = values.astype(np.int64)
+        counts = cooccurrence(values)
+        assert counts.dtype == np.float64
+        np.testing.assert_array_equal(counts, ints.T @ ints)
+        np.testing.assert_array_equal(np.diag(counts), values.sum(axis=0))
+
+    @pytest.mark.parametrize("cap", ["SCRATCH_ENTRIES", "_FLOAT32_EXACT_ROWS"])
+    def test_row_chunks_add_up_exactly(self, rng, monkeypatch, cap):
+        values = (rng.random((503, 7)) < 0.4).astype(np.uint8)
+        ints = values.astype(np.int64)
+        monkeypatch.setattr(indicators, cap, 40)
+        np.testing.assert_array_equal(cooccurrence(values), ints.T @ ints)
+
+    def test_stack_gives_one_matrix_each(self, rng, monkeypatch):
+        stack = (rng.random((4, 120, 5)) < 0.5).astype(np.uint8)
+        monkeypatch.setattr(indicators, "SCRATCH_ENTRIES", 64)
+        counts = cooccurrence(stack)
+        assert counts.shape == (4, 5, 5)
+        for x, c in zip(stack.astype(np.int64), counts):
+            np.testing.assert_array_equal(c, x.T @ x)
 
 
 @settings(max_examples=50, deadline=None)

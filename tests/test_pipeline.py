@@ -126,6 +126,22 @@ class TestIngest:
         with pytest.raises(IngestError, match="empty column name"):
             ingest(path)
 
+    def test_byte_order_mark_stays_out_of_header(self, tmp_path, synthetic_csv):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + synthetic_csv.read_bytes())
+        data = ingest(path)
+        assert data.column_names[0] == "item1"
+        result = analyze(
+            RunConfig(input_path=path, seed=3, columns=["item1", "item2", "item3"])
+        )
+        assert result.ind.source_columns == ["item1", "item2", "item3"]
+
+    def test_undecodable_file_reports_ingest_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b\ncafé,1\n".encode("latin-1"))
+        with pytest.raises(IngestError, match="cannot read"):
+            ingest(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
             ingest(tmp_path / "nope.csv")

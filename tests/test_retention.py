@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misscomp import indicators, retention
 from misscomp.retention import (
     CRITERIA,
     EKC,
@@ -211,6 +214,61 @@ class TestParallelAnalysis:
         decision = parallel_analysis(ind, e, seed=11)
         assert decision.k_retained == 1
         assert decision.converged
+
+
+def reference_null(ind, reps, seed):
+    """Independent oracle: centre and normalise each permuted copy in float64."""
+    streams = np.random.SeedSequence(seed).spawn(reps)
+    out = np.empty((reps, ind.k))
+    for r in range(reps):
+        x = np.random.default_rng(streams[r]).permuted(ind.values, axis=0).astype(np.float64)
+        z = x - x.mean(axis=0)
+        norms = np.sqrt((z * z).sum(axis=0))
+        out[r] = np.linalg.eigvalsh((z.T @ z) / np.outer(norms, norms))[::-1]
+    return out
+
+
+class TestPermutationNull:
+    def _indicators(self, rng, n, k):
+        values = (rng.random((n, k)) < rng.uniform(0.05, 0.6, size=k)).astype(np.uint8)
+        values[0] = 0
+        values[1] = 1
+        return indicator_matrix(values)
+
+    @pytest.mark.parametrize("n,k,reps", [(400, 2, 25), (150, 6, 1), (900, 15, 40)])
+    def test_matches_float64_reference(self, rng, n, k, reps):
+        ind = self._indicators(rng, n, k)
+        np.testing.assert_allclose(
+            retention._permutation_null(ind, reps, seed=5),
+            reference_null(ind, reps, seed=5),
+            rtol=0,
+            atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("cap", [50, 20_000])
+    def test_small_caps_split_rows_and_blocks(self, rng, monkeypatch, cap):
+        # 50 entries: one replication per block, each count summed over 167
+        # row chunks; 20000: six blocks of two replications each
+        ind = self._indicators(rng, 1000, 8)
+        monkeypatch.setattr(indicators, "SCRATCH_ENTRIES", cap)
+        monkeypatch.setattr(retention, "SCRATCH_ENTRIES", cap)
+        np.testing.assert_allclose(
+            retention._permutation_null(ind, 12, seed=3),
+            reference_null(ind, 12, seed=3),
+            rtol=0,
+            atol=1e-10,
+        )
+
+    def test_scratch_does_not_grow_with_reps(self, rng):
+        # a float64 block of all 100 permuted copies would be 80 MB
+        ind = self._indicators(rng, 5000, 20)
+        tracemalloc.start()
+        try:
+            retention._permutation_null(ind, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestGuidance:
