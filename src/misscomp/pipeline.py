@@ -88,11 +88,11 @@ class RunConfig:
 
 
 def _parse_number(cell: str) -> float | None:
+    """The cell's value, non-finite ones included, or None if it is no number."""
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
         return None
-    return value if np.isfinite(value) else None
 
 
 def ingest(
@@ -105,7 +105,11 @@ def ingest(
     The first row is the header. A column is numeric when at least 90% of
     its non-missing cells parse as numbers (the stragglers become missing);
     otherwise it is categorical and cells stay strings. Cells matching a
-    sentinel are missing either way. The file is read as UTF-8; a leading
+    sentinel are missing either way. ``inf``, ``-inf`` and ``nan`` tokens
+    count as numbers for that rule, but a numeric column holding one is
+    rejected with an IngestError naming column, row and token: coerced to
+    missing, it would become a missingness indicator. Declare such a token
+    a sentinel to read it as missing. The file is read as UTF-8; a leading
     byte-order mark is dropped, so it never becomes part of the first
     column name.
     """
@@ -136,14 +140,17 @@ def ingest(
     kinds = []
     for j, name in enumerate(header):
         cells = [row[j] for row in body]
-        present = [c for c in cells if c not in sentinel_set]
-        parsed = [_parse_number(c) for c in present]
+        parsed = [None if c in sentinel_set else _parse_number(c) for c in cells]
+        n_present = sum(c not in sentinel_set for c in cells)
         n_numeric = sum(v is not None for v in parsed)
-        if not present or n_numeric >= NUMERIC_PARSE_FRACTION * len(present):
-            col = np.array(
-                [np.nan if c in sentinel_set else _parse_or_nan(c) for c in cells],
-                dtype=np.float64,
-            )
+        if n_numeric >= NUMERIC_PARSE_FRACTION * n_present:
+            col = np.array([np.nan if v is None else v for v in parsed], dtype=np.float64)
+            for i in np.flatnonzero(~np.isfinite(col)):
+                if parsed[i] is not None:
+                    raise IngestError(
+                        f"{path}: column {name!r} row {i + 2} holds the non-finite "
+                        f"number {cells[i]!r}; declare it a missing sentinel or fix the cell"
+                    )
             columns.append(col)
             kinds.append(NUMERIC)
         else:
@@ -153,11 +160,6 @@ def ingest(
             columns.append(col)
             kinds.append(CATEGORICAL)
     return Dataset(column_names=header, columns=columns, kinds=kinds)
-
-
-def _parse_or_nan(cell: str) -> float:
-    value = _parse_number(cell)
-    return np.nan if value is None else value
 
 
 @dataclass

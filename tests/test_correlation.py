@@ -42,6 +42,31 @@ def quadrant_table(rho, p_x, p_y, total=1_000_000.0):
     return np.array([[p11, p10], [p01, p00]]) * total
 
 
+def quadrature_oracle():
+    """Independent P(X > h, Y > k): integrate phi(x) * P(Y > k | X = x) over
+    x > h in mpmath at 30 digits; rho = +-1 and infinite thresholds by their
+    closed forms."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+
+    def oracle(h, k, rho):
+        if h == np.inf or k == np.inf:
+            return 0.0
+        if h == -np.inf or k == -np.inf:
+            return float(mpmath.ncdf(-k) if h == -np.inf else mpmath.ncdf(-h))
+        if abs(rho) == 1.0:
+            tx, ty = mpmath.ncdf(-h), mpmath.ncdf(-k)
+            return float(min(tx, ty) if rho > 0 else max(0, tx + ty - 1))
+
+        def f(x):
+            cond = (mpmath.mpf(k) - rho * x) / mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
+            return mpmath.npdf(x) * mpmath.ncdf(-cond)
+
+        return float(mpmath.quad(f, [h, mpmath.inf]))
+
+    return oracle
+
+
 class TestBvnUpper:
     def test_independence_factorizes(self):
         for h, k in [(-1.3, 0.4), (0.0, 0.0), (2.1, -0.7)]:
@@ -71,18 +96,7 @@ class TestBvnUpper:
         assert both + other == pytest.approx(1.0 - ndtr(h), abs=1e-14)
 
     def test_against_quadrature_oracle(self):
-        # independent oracle: integrate phi(x) * P(Y > k | X = x) over x > h
-        mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp
-        mp.dps = 30
-
-        def oracle(h, k, rho):
-            def f(x):
-                cond = (mpmath.mpf(k) - rho * x) / mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
-                return mpmath.npdf(x) * mpmath.ncdf(-cond)
-
-            return float(mpmath.quad(f, [h, mpmath.inf]))
-
+        oracle = quadrature_oracle()
         rng = np.random.default_rng(42)
         cases = [(-2.0, -2.0, 0.95), (2.0, 2.0, -0.95), (0.0, 0.0, 0.999)]
         cases += [
@@ -93,6 +107,26 @@ class TestBvnUpper:
             assert bvn_upper(h, k, rho) == pytest.approx(
                 oracle(h, k, rho), abs=5e-14
             ), (h, k, rho)
+
+    def test_array_call_against_quadrature_oracle(self):
+        # one call spanning every |rho| band, both signs, rho = 0 and +-1,
+        # and infinite thresholds
+        oracle = quadrature_oracle()
+        rhos = [0.0, 0.1, -0.2, 0.5, -0.6, 0.8, -0.9, 0.93, -0.97, 0.999, 1.0, -1.0]
+        thresholds = [(-0.4, 1.1), (-1.7, -0.6)]
+        cases = [(h, k, rho) for rho in rhos for h, k in thresholds]
+        inf = np.inf
+        cases += [(inf, 0.3, 0.5), (-0.2, inf, -0.5), (-inf, 0.7, 0.4), (0.9, -inf, -0.95),
+                  (-inf, -inf, 0.2), (-inf, 1.2, 1.0)]
+        h, k, rho = (np.array(col) for col in zip(*cases))
+        got = bvn_upper(h, k, rho)
+        assert isinstance(got, np.ndarray) and got.shape == h.shape
+        expect = np.array([oracle(*case) for case in cases])
+        np.testing.assert_allclose(got, expect, rtol=0, atol=5e-14)
+
+    def test_scalar_call_returns_float(self):
+        assert type(bvn_upper(0.2, -0.3, 0.4)) is float
+        assert type(bvn_upper(np.float64(0.2), 1, -1.0)) is float
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -178,6 +212,36 @@ class TestTetrachoric:
                 x, y = values[:, i] == 1, values[:, j] == 1
                 table = [[np.sum(x & y), np.sum(x & ~y)], [np.sum(~x & y), np.sum(~x & ~y)]]
                 assert c.values[i, j] == c.values[j, i] == tetrachoric_from_table(table, (i, j))
+
+    def test_root_solves_saturated_likelihood(self, rng):
+        # at an interior estimate, Phi2 at the fitted margins reproduces the
+        # continuity-corrected n11 / N
+        oracle = quadrature_oracle()
+        for _ in range(20):
+            t = rng.integers(0, 80, size=(2, 2)).astype(float)
+            est = tetrachoric_from_table(t)
+            if abs(est) == RHO_BOUND:
+                continue
+            if (t == 0).any():
+                t = t + 0.5
+            total = t.sum()
+            h = ndtri(1.0 - (t[0, 0] + t[0, 1]) / total)
+            k = ndtri(1.0 - (t[0, 0] + t[1, 0]) / total)
+            assert oracle(h, k, est) == pytest.approx(t[0, 0] / total, abs=1e-10), t
+
+    def test_target_past_bound_returns_bound_exactly(self):
+        # corrected [[50.5, 0.5], [0.5, 50.5]]: n11 / N = 0.495 beats Phi2(0, 0, 0.999)
+        oracle = quadrature_oracle()
+        assert oracle(0.0, 0.0, RHO_BOUND) < 50.5 / 102
+        assert tetrachoric_from_table(np.array([[50, 0], [0, 50]])) == RHO_BOUND
+        assert tetrachoric_from_table(np.array([[0, 50], [50, 0]])) == -RHO_BOUND
+
+    def test_estimation_error_names_pair(self):
+        with pytest.raises(EstimationError, match=r"pair \(2, 5\): invalid") as err:
+            tetrachoric_from_table(np.array([[-1, 2], [3, 4]]), (2, 5))
+        assert err.value.pair == (2, 5)
+        with pytest.raises(EstimationError, match="degenerate marginal"):
+            tetrachoric_from_table(np.array([[np.nan, 2], [3, 4]]))
 
     def test_estimate_monotone_in_concordance(self):
         weak = tetrachoric_from_table(np.array([[30, 20], [20, 30]]))

@@ -102,6 +102,23 @@ class TestIngest:
         assert data.kind("a") == "categorical"
         assert data.column("a")[0] == "0"
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_token_in_numeric_column_rejected(self, tmp_path, token):
+        path = write_csv(tmp_path / "d.csv", ["a", "b"], [["1", "x"], ["2", "y"], [token, "z"]])
+        with pytest.raises(IngestError, match=rf"column 'a' row 4 .*'{token}'"):
+            ingest(path)
+
+    def test_non_finite_sentinel_reads_as_missing(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a"], [["1"], ["2"], ["nan"]])
+        a = ingest(path, sentinels=("", "nan")).column("a")
+        assert a[1] == 2.0 and np.isnan(a[2])
+
+    def test_text_column_keeps_nan_token(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a"], [["red"], ["blue"], ["nan"]])
+        data = ingest(path)
+        assert data.kind("a") == "categorical"
+        assert data.column("a")[2] == "nan"
+
     def test_ragged_row_reports_line_number(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n3\n")

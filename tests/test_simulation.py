@@ -4,7 +4,7 @@ from scipy.special import ndtr
 
 from misscomp.correlation import PEARSON, TETRACHORIC
 from misscomp.extraction import PAF, PCA
-from misscomp.retention import CRITERIA
+from misscomp.retention import CRITERIA, EKC, KAISER, PARALLEL, PROFILE_LIKELIHOOD
 from misscomp.simulation import (
     BETWEEN_CORR,
     GRID_COMPONENTS,
@@ -117,6 +117,14 @@ class TestRunCondition:
         assert a.converged == b.converged
         assert a.correct == b.correct
 
+
+    def test_tetrachoric_paf_decisions_pinned(self):
+        # decisions recorded under the per-pair likelihood optimiser; the
+        # root-find must reproduce them replication for replication
+        cond = SimCondition(3, 5, 250, 0.25, TETRACHORIC, PAF)
+        cell = run_condition(cond, reps=15, seed=11)
+        assert cell.converged == {c: 15 for c in CRITERIA}
+        assert cell.correct == {KAISER: 15, EKC: 15, PARALLEL: 15, PROFILE_LIKELIHOOD: 2}
 
 class TestRunGrid:
     def test_worker_count_invariance(self):
