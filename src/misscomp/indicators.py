@@ -7,6 +7,7 @@ missingness indicator per variable (1 = missing, 0 = observed) and up to
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,17 +31,38 @@ class EmptyIndicatorError(ValueError):
     """No selected column has any missingness variance to analyze."""
 
 
+def encode(cells: list, missing: Iterable = (None,)) -> tuple[np.ndarray, list[str]]:
+    """Integer codes and sorted level names of a list of string cells.
+
+    Cells found in ``missing`` get code -1; every other distinct cell is a
+    level, and levels sort as strings. The codes take the smallest signed
+    integer type that holds -len(levels), and so every code.
+    """
+    missing = set(missing)
+    levels = sorted(set(cells) - missing)
+    index = dict.fromkeys(missing, -1)
+    index.update((level, code) for code, level in enumerate(levels))
+    dtype = np.min_scalar_type(-max(len(levels), 1))
+    codes = np.fromiter((index[c] for c in cells), dtype=dtype, count=len(cells))
+    return codes, levels
+
+
 @dataclass
 class Dataset:
     """Rectangular column store with explicit missing cells.
 
-    Numeric columns are float arrays with NaN marking missing cells;
-    categorical columns are object arrays with None marking missing cells.
+    Numeric columns are float arrays with NaN marking missing cells.
+    Categorical columns are integer codes into a sorted list of level
+    names, with -1 marking missing cells; ``levels`` holds that list for
+    each categorical column and None for each numeric one. A categorical
+    column given without levels is an object array with None marking
+    missing cells, and is encoded here once (each value by its ``str``).
     """
 
     column_names: list[str]
     columns: list[np.ndarray]
     kinds: list[str]
+    levels: list[list[str] | None] | None = None
 
     def __post_init__(self):
         if len(set(self.column_names)) != len(self.column_names):
@@ -53,6 +75,18 @@ class Dataset:
         for kind in self.kinds:
             if kind not in (NUMERIC, CATEGORICAL):
                 raise ValueError(f"unknown column kind {kind!r}")
+        self.columns = list(self.columns)
+        self.levels = [None] * len(self.columns) if self.levels is None else list(self.levels)
+        if len(self.levels) != len(self.columns):
+            raise ValueError("levels must align with columns")
+        for j, kind in enumerate(self.kinds):
+            if kind == NUMERIC:
+                continue
+            if self.levels[j] is None:
+                cells = [None if v is None else str(v) for v in self.columns[j]]
+                self.columns[j], self.levels[j] = encode(cells)
+            elif self.columns[j].dtype.kind != "i":
+                raise ValueError(f"column {self.column_names[j]!r} has levels but no integer codes")
 
     @property
     def n(self) -> int:
@@ -62,24 +96,55 @@ class Dataset:
     def p(self) -> int:
         return len(self.column_names)
 
-    def column(self, name: str) -> np.ndarray:
+    def _index(self, name: str) -> int:
         try:
-            return self.columns[self.column_names.index(name)]
+            return self.column_names.index(name)
         except ValueError:
             raise ColumnNotFoundError(name) from None
 
+    def column(self, name: str) -> np.ndarray:
+        """Numeric values, or categorical level names as objects (None = missing)."""
+        j = self._index(name)
+        if self.kinds[j] == NUMERIC:
+            return self.columns[j]
+        return np.array(self.levels[j] + [None], dtype=object)[self.columns[j]]
+
     def kind(self, name: str) -> str:
-        try:
-            return self.kinds[self.column_names.index(name)]
-        except ValueError:
-            raise ColumnNotFoundError(name) from None
+        return self.kinds[self._index(name)]
+
+    def codes(self, name: str) -> tuple[np.ndarray, list[str]]:
+        """Integer codes (-1 = missing) and level names of one column.
+
+        A numeric column is coded by the ``str`` of each distinct value,
+        with levels in string order, so 10.0 sorts before 2.0.
+        """
+        j = self._index(name)
+        if self.kinds[j] == CATEGORICAL:
+            return self.columns[j], self.levels[j]
+        col = self.columns[j]
+        present = ~np.isnan(col)
+        # distinct bit patterns are distinct str() forms, 0.0 and -0.0 included
+        bits, inverse = np.unique(col[present].view(f"i{col.itemsize}"), return_inverse=True)
+        rank, levels = encode([str(v) for v in bits.view(col.dtype)])
+        codes = np.full(len(col), -1, dtype=rank.dtype)
+        codes[present] = rank[inverse]
+        return codes, levels
 
     def missing_mask(self, name: str) -> np.ndarray:
         """Boolean mask of missing cells for one column."""
-        col = self.column(name)
-        if self.kind(name) == NUMERIC:
-            return np.isnan(col)
-        return np.array([v is None for v in col], dtype=bool)
+        j = self._index(name)
+        if self.kinds[j] == NUMERIC:
+            return np.isnan(self.columns[j])
+        return self.columns[j] < 0
+
+    def take(self, rows: np.ndarray) -> Dataset:
+        """The dataset restricted to ``rows`` (a boolean mask or indices)."""
+        return Dataset(
+            column_names=list(self.column_names),
+            columns=[c[rows] for c in self.columns],
+            kinds=list(self.kinds),
+            levels=list(self.levels),
+        )
 
 
 @dataclass
@@ -233,23 +298,25 @@ def tabulate_patterns(ind: IndicatorMatrix, drop_fully_missing: bool = False) ->
     removed and percents are taken over the remaining rows, the convention
     used when fully missing cases are excluded from an analytic sample.
     """
+    if ind.k == 0:
+        raise EmptyIndicatorError("no indicator columns to tabulate")
     n = ind.n
-    patterns, counts = np.unique(ind.values, axis=0, return_counts=True)
-    strings = ["".join("1" if b else "0" for b in row) for row in patterns]
-    all_ones = "1" * ind.k
-    n_fully_missing = 0
-    pairs = []
-    for s, c in zip(strings, counts):
-        if s == all_ones:
-            n_fully_missing = int(c)
-            if drop_fully_missing:
-                continue
-        pairs.append((s, int(c)))
+    # one opaque key per row: its indicators packed 8 to a byte, first column
+    # in the high bit, so the keys sort as the pattern strings do
+    packed = np.packbits(ind.values, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    patterns = ind.values[first]
+    fully_missing = patterns.all(axis=1)
+    n_fully_missing = int(counts[fully_missing].sum())
+    if drop_fully_missing:
+        patterns, counts = patterns[~fully_missing], counts[~fully_missing]
     base = n - n_fully_missing if drop_fully_missing else n
-    pairs.sort(key=lambda sc: (-sc[1], sc[0]))
+    order = np.argsort(-counts, kind="stable")  # ties keep pattern order
+    strings = (patterns[order] + ord("0")).view(f"S{ind.k}").ravel().astype(str).tolist()
     rows = [
         PatternRow(pattern=s, count=c, percent=c / base if base else 0.0, rank=i + 1)
-        for i, (s, c) in enumerate(pairs)
+        for i, (s, c) in enumerate(zip(strings, counts[order].tolist()))
     ]
     return PatternTable(
         rows=rows,

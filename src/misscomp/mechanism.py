@@ -8,12 +8,12 @@ from indicators or covariates with logistic regression.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import chi2, rankdata, t as t_dist
+from scipy import special
 
-from .indicators import CATEGORICAL, NUMERIC, Dataset
+from .indicators import NUMERIC, Dataset
 
 WELCH_T = "welch_t"
 CHI_SQUARE = "chi_square"
@@ -22,6 +22,8 @@ IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
 SEPARATION_PROB_TOL = 1e-8
 SEPARATION_COEF_BOUND = 15.0
+# model-matrix value of each binary level name; any other level is not binary
+_BINARY_LEVELS = {"0": 0.0, "1": 1.0}
 
 
 @dataclass
@@ -70,25 +72,30 @@ def _welch(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
         return (0.0, float(len(a) + len(b) - 2), 1.0) if ma == mb else (np.inf, float(len(a) + len(b) - 2), 0.0)
     stat = (ma - mb) / np.sqrt(se2)
     df = se2**2 / ((va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1))
-    p = 2.0 * t_dist.sf(abs(stat), df)
+    p = 2.0 * special.stdtr(df, -abs(stat))
     return float(stat), float(df), float(p)
 
 
-def _chi_square(values: np.ndarray, flag: np.ndarray) -> tuple[float, float, float, dict]:
-    levels = sorted({str(v) for v in values})
-    strs = np.array([str(v) for v in values])
-    table = np.array(
-        [[np.sum((strs == lv) & (flag == g)) for g in (0, 1)] for lv in levels],
-        dtype=np.float64,
-    )
-    counts = {lv: [int(c) for c in row] for lv, row in zip(levels, table)}
-    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+def _chi2_sf(x: float, df: float) -> float:
+    """Upper tail of the chi-square distribution; 1 at and below zero."""
+    return float(special.chdtrc(df, max(x, 0.0)))
+
+
+def _chi_square(
+    codes: np.ndarray, levels: list[str], flag: np.ndarray
+) -> tuple[float, float, float, dict]:
+    """Pearson chi-square of the table of the levels present in ``codes`` by flag."""
+    table = np.bincount(2 * codes.astype(np.intp) + flag, minlength=2 * len(levels)).reshape(-1, 2)
+    seen = table.sum(axis=1) > 0
+    table = table[seen].astype(np.float64)
+    counts = {lv: [int(c) for c in row] for lv, row in zip(compress(levels, seen), table)}
+    table = table[:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
         return np.nan, np.nan, np.nan, counts
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     stat = float(((table - expected) ** 2 / expected).sum())
     df = float((table.shape[0] - 1) * (table.shape[1] - 1))
-    return stat, df, float(chi2.sf(stat, df)), counts
+    return stat, df, _chi2_sf(stat, df), counts
 
 
 def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> list[ScreenResult]:
@@ -107,7 +114,6 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
     results = []
     for name in variables:
         kind = data.kind(name)
-        col = data.column(name)
         observed = ~data.missing_mask(name)
         excluded = int(data.n - observed.sum())
         g0, g1 = flag[observed] == 0, flag[observed] == 1
@@ -129,7 +135,7 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
             )
             continue
         if kind == NUMERIC:
-            vals = col[observed].astype(np.float64)
+            vals = data.column(name)[observed]
             a, b = vals[g1], vals[g0]
             stat, df, p = _welch(a, b)
             summaries = {
@@ -140,8 +146,8 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
                 ScreenResult(name, WELCH_T, stat, df, p, True, "", n0, n1, excluded, summaries)
             )
         else:
-            vals = col[observed]
-            stat, df, p, counts = _chi_square(vals, flag[observed])
+            codes, levels = data.codes(name)
+            stat, df, p, counts = _chi_square(codes[observed], levels, flag[observed])
             if np.isnan(stat):
                 results.append(
                     ScreenResult(
@@ -183,9 +189,20 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC undefined: only one class present")
-    ranks = rankdata(s, method="average")
+    ranks = _midranks(s)
     u = ranks[y == 1].sum() - n1 * (n1 + 1) / 2.0
     return float(u / (n1 * n0))
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x`` with each run of ties given its average rank."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def _drop_aliased(x: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str], list[str]]:
@@ -243,7 +260,7 @@ def fit_logistic(
     singular = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        mu = expit(design @ beta)
+        mu = special.expit(design @ beta)
         g = design.T @ (y - mu)
         if np.max(np.abs(g)) < IRLS_TOL:
             converged = True
@@ -258,7 +275,7 @@ def fit_logistic(
             break
         beta = beta + step
 
-    mu = expit(design @ beta)
+    mu = special.expit(design @ beta)
     # post-fit separation detection: a fully saturated class or runaway
     # coefficients on the standardized predictor scale
     ones_done = bool((mu[y == 1.0] > 1.0 - SEPARATION_PROB_TOL).all())
@@ -272,7 +289,7 @@ def fit_logistic(
     ll0 = float(len(y) * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
     lr = 2.0 * (ll - ll0)
     df = design.shape[1] - 1
-    lr_p = float(chi2.sf(lr, df)) if df > 0 else np.nan
+    lr_p = _chi2_sf(lr, df) if df > 0 else np.nan
 
     if separated:
         ses = None
@@ -335,23 +352,21 @@ def stratified_rerun(
 
     Levels whose flag has a single class are reported not testable rather
     than fitted. Rows with a missing stratum value are left out entirely.
+    Strata are named and ordered by ``Dataset.codes``, so a numeric strata
+    column gives levels such as "10.0" and "2.0", in that order.
     """
     flag = np.asarray(component_flag).astype(int)
-    col = data.column(strata)
-    present = ~data.missing_mask(strata)
-    levels = sorted({str(v) for v in col[present]})
-    if len(levels) < 2:
+    codes, names = data.codes(strata)
+    seen = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
+    if len(seen) < 2:
         raise ValueError("strata column must have at least 2 levels")
     out = []
-    for level in levels:
-        rows = present & np.array([str(v) == level for v in col])
-        sub = Dataset(
-            column_names=list(data.column_names),
-            columns=[c[rows] for c in data.columns],
-            kinds=list(data.kinds),
-        )
+    for code in seen:
+        level = names[code]
+        rows = np.flatnonzero(codes == code)
+        sub = data.take(rows)
         sub_flag = flag[rows]
-        n = int(rows.sum())
+        n = len(rows)
         if len(np.unique(sub_flag)) < 2:
             out.append(StratumResult(level, False, "component flag has a single class", n, [], [], []))
             continue
@@ -376,14 +391,10 @@ def numeric_values(data: Dataset, name: str) -> np.ndarray:
     Binary categorical columns coded "0"/"1" (indicator columns live in
     screening datasets that way) convert transparently.
     """
-    col = data.column(name)
     if data.kind(name) == NUMERIC:
-        return col.astype(np.float64)
-    out = np.full(len(col), np.nan)
-    for i, v in enumerate(col):
-        if v is None:
-            continue
-        if str(v) not in ("0", "1"):
-            raise ValueError(f"column {name!r} is categorical and not binary-coded")
-        out[i] = float(str(v))
-    return out
+        return data.column(name).astype(np.float64)
+    codes, levels = data.codes(name)
+    values = np.array([_BINARY_LEVELS.get(lv, np.inf) for lv in levels] + [np.nan])[codes]
+    if np.isinf(values).any():
+        raise ValueError(f"column {name!r} is categorical and not binary-coded")
+    return values

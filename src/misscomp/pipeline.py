@@ -28,6 +28,7 @@ from .indicators import (
     IndicatorMatrix,
     PatternTable,
     build_indicators,
+    encode,
     tabulate_patterns,
 )
 from .mechanism import LogisticFit, ScreenResult, StratumResult
@@ -104,42 +105,46 @@ def ingest(
 
     The first row is the header. A column is numeric when at least 90% of
     its non-missing cells parse as numbers (the stragglers become missing);
-    otherwise it is categorical and cells stay strings. Cells matching a
-    sentinel are missing either way. ``inf``, ``-inf`` and ``nan`` tokens
-    count as numbers for that rule, but a numeric column holding one is
-    rejected with an IngestError naming column, row and token: coerced to
-    missing, it would become a missingness indicator. Declare such a token
-    a sentinel to read it as missing. The file is read as UTF-8; a leading
-    byte-order mark is dropped, so it never becomes part of the first
-    column name.
+    otherwise it is categorical, stored as integer codes into its sorted
+    level names. Cells matching a sentinel are missing either way. ``inf``,
+    ``-inf`` and ``nan`` tokens count as numbers for that rule, but a
+    numeric column holding one is rejected with an IngestError naming
+    column, row and token: coerced to missing, it would become a
+    missingness indicator. Declare such a token a sentinel to read it as
+    missing. The file is streamed as UTF-8; a leading byte-order mark is
+    dropped, so it never becomes part of the first column name. Rows end
+    only at CR or LF outside quotes, so a quoted newline or a Unicode line
+    separator stays inside its cell.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = csv.reader(fh, delimiter=delimiter)
+            first = next(rows, None)
+            if first is None:
+                raise IngestError(f"{path} is empty: no header row")
+            header = [h.strip() for h in first]
+            if any(not h for h in header):
+                raise IngestError(f"{path}: header has an empty column name")
+            if len(set(header)) != len(header):
+                raise IngestError(f"{path}: duplicate column names in header")
+            width = len(header)
+            body = []
+            for lineno, row in enumerate(rows, start=2):
+                if len(row) != width:
+                    raise IngestError(
+                        f"{path}: row {lineno} has {len(row)} cells, header has {width}"
+                    )
+                body.append(row)
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines(), delimiter=delimiter))
-    if not rows:
-        raise IngestError(f"{path} is empty: no header row")
-    header = [h.strip() for h in rows[0]]
-    if any(not h for h in header):
-        raise IngestError(f"{path}: header has an empty column name")
-    if len(set(header)) != len(header):
-        raise IngestError(f"{path}: duplicate column names in header")
-    width = len(header)
-    body = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise IngestError(
-                f"{path}: row {lineno} has {len(row)} cells, header has {width}"
-            )
-        body.append([c.strip() for c in row])
 
     sentinel_set = set(sentinels)
     columns = []
     kinds = []
-    for j, name in enumerate(header):
-        cells = [row[j] for row in body]
+    levels = []
+    for name, raw in zip(header, zip(*body) if body else [()] * len(header)):
+        cells = [c.strip() for c in raw]
         parsed = [None if c in sentinel_set else _parse_number(c) for c in cells]
         n_present = sum(c not in sentinel_set for c in cells)
         n_numeric = sum(v is not None for v in parsed)
@@ -153,13 +158,13 @@ def ingest(
                     )
             columns.append(col)
             kinds.append(NUMERIC)
+            levels.append(None)
         else:
-            col = np.array(
-                [None if c in sentinel_set else c for c in cells], dtype=object
-            )
-            columns.append(col)
+            codes, names = encode(cells, sentinel_set)
+            columns.append(codes)
             kinds.append(CATEGORICAL)
-    return Dataset(column_names=header, columns=columns, kinds=kinds)
+            levels.append(names)
+    return Dataset(column_names=header, columns=columns, kinds=kinds, levels=levels)
 
 
 @dataclass
@@ -184,23 +189,13 @@ class AnalysisResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _screening_dataset(data: Dataset, ind: IndicatorMatrix, exclude: set[str]) -> Dataset:
-    """Original columns (minus exclusions) plus indicators as categorical."""
-    names = [n for n in data.column_names if n not in exclude]
-    cols = [data.column(n) for n in names]
-    kinds = [data.kind(n) for n in names]
-    for j, name in enumerate(ind.column_names):
-        names.append(name)
-        cols.append(np.array([str(v) for v in ind.values[:, j]], dtype=object))
-        kinds.append(CATEGORICAL)
-    return Dataset(names, cols, kinds)
-
-
-def _subset(data: Dataset, rows: np.ndarray) -> Dataset:
+def _screening_dataset(data: Dataset, ind: IndicatorMatrix) -> Dataset:
+    """Original columns plus indicators as categorical "0"/"1" codes."""
     return Dataset(
-        column_names=list(data.column_names),
-        columns=[c[rows] for c in data.columns],
-        kinds=list(data.kinds),
+        column_names=list(data.column_names) + list(ind.column_names),
+        columns=list(data.columns) + [ind.values[:, j].view(np.int8) for j in range(ind.k)],
+        kinds=list(data.kinds) + [CATEGORICAL] * ind.k,
+        levels=list(data.levels) + [["0", "1"]] * ind.k,
     )
 
 
@@ -313,10 +308,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
     n_fully = int(comp_scores.fully_missing.sum())
     if n_fully:
         notes.append(f"{n_fully} fully missing row(s) excluded from screens and fits")
-    exclude = {config.strata_column} if config.strata_column else set()
-    screen_data_all = _screening_dataset(data, ind, exclude)
-    screen_data = _subset(screen_data_all, usable)
-    screen_vars = list(screen_data.column_names)
+    screen_data = _screening_dataset(data, ind).take(usable)
+    # the stratifying column itself is not screened
+    screen_vars = [name for name in screen_data.column_names if name != config.strata_column]
 
     screen_rows: list[tuple[str, str, ScreenResult]] = []
     logistic_rows: list[tuple[str, str, str, LogisticFit]] = []
@@ -370,17 +364,11 @@ def analyze(config: RunConfig) -> AnalysisResult:
     if config.strata_column:
         if config.strata_column not in data.column_names:
             raise PipelineError("step8-strata", f"strata column {config.strata_column!r} not in dataset")
-        strata_vals = data.column(config.strata_column)[usable]
-        strata_data = screen_data_all
-        names = list(strata_data.column_names) + [config.strata_column]
-        cols = list(strata_data.columns) + [data.column(config.strata_column)]
-        kinds = list(strata_data.kinds) + [CATEGORICAL if data.kind(config.strata_column) == CATEGORICAL else NUMERIC]
-        full = _subset(Dataset(names, cols, kinds), usable)
         for j in testable_components:
             label = f"component_{j + 1}"
             flag = comp_scores.dichotomized[usable, j].astype(int)
             for res in mechanism.stratified_rerun(
-                full, flag, config.strata_column, screen_vars, indicator_names
+                screen_data, flag, config.strata_column, screen_vars, indicator_names
             ):
                 strata_results.append(res)
                 stratum_label = f"{config.strata_column}={res.stratum}"

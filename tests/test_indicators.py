@@ -10,6 +10,7 @@ from misscomp.indicators import (
     ColumnNotFoundError,
     Dataset,
     EmptyIndicatorError,
+    IndicatorMatrix,
     build_indicators,
     cooccurrence,
     tabulate_patterns,
@@ -32,6 +33,34 @@ class TestDataset:
         assert small_dataset.missing_mask("label").tolist() == [
             False, False, True, False, False, True, False, False,
         ]
+
+    def test_categorical_codes_and_levels(self, small_dataset):
+        codes, levels = small_dataset.codes("label")
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [0, 1, -1, 0, 1, -1, 0, 1]
+        assert levels == ["a", "b"]
+        assert small_dataset.column("label").tolist() == ["a", "b", None, "a", "b", None, "a", "b"]
+
+    def test_code_width_grows_with_level_count(self):
+        for n_levels, dtype in [(128, np.int8), (129, np.int16)]:
+            data = dataset_from_arrays({"g": [f"v{i:03d}" for i in range(n_levels)]})
+            assert data.codes("g")[0].dtype == dtype
+
+    def test_numeric_codes_follow_string_order(self):
+        values = [2.0, 10.0, None, 2.0, -0.0, 0.0]
+        data = dataset_from_arrays({"x": values})
+        codes, levels = data.codes("x")
+        # the names and order of sorted({str(v)}) over the present values
+        assert levels == sorted({str(v) for v in data.column("x")[~data.missing_mask("x")]})
+        assert levels == ["-0.0", "0.0", "10.0", "2.0"]
+        assert [None if c < 0 else levels[c] for c in codes] == ["2.0", "10.0", None, "2.0", "-0.0", "0.0"]
+
+    def test_take_keeps_levels(self, small_dataset):
+        sub = small_dataset.take(np.array([0, 2, 4]))
+        assert sub.n == 3
+        assert sub.codes("label")[1] == ["a", "b"]
+        assert sub.column("label").tolist() == ["a", None, "b"]
+        assert sub.column("y1").tolist() == [1.0, 3.0, 5.0]
 
     def test_unknown_column_raises(self, small_dataset):
         with pytest.raises(ColumnNotFoundError):
@@ -140,6 +169,10 @@ class TestPatternTable:
         assert sum(r.count for r in kept.rows) == 3
         # percent base shrinks with the dropped row
         assert kept.percent_base == 3
+
+    def test_no_indicator_columns_rejected(self):
+        with pytest.raises(EmptyIndicatorError):
+            tabulate_patterns(IndicatorMatrix(np.zeros((4, 0), dtype=np.uint8), [], []))
 
     def test_n_missing_vars(self):
         data = dataset_from_arrays(

@@ -60,6 +60,19 @@ class TestScreen:
         assert res.df == ref.dof
         assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12)
 
+    def test_chi_square_many_levels_matches_scipy(self, rng):
+        # codes past 63, where twice the code overflows int8
+        names = [f"L{i:03d}" for i in range(100)]
+        levels = rng.choice(names, size=5000)
+        flag = rng.integers(0, 2, size=len(levels))
+        res = screen(dataset_from_arrays({"g": list(levels)}), flag, ["g"])[0]
+        table = np.array([[(levels[flag == r] == lv).sum() for lv in names] for r in (0, 1)])
+        ref = scipy.stats.chi2_contingency(table, correction=False)
+        assert res.statistic == pytest.approx(ref.statistic, rel=1e-12)
+        assert res.df == ref.dof == 99
+        assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12)
+        assert list(res.group_summaries["counts"]) == names
+
     def test_missing_cells_drop_pairwise(self):
         data = dataset_from_arrays({"x": [1.0, None, 3.0, 4.0, None, 6.0]})
         flag = np.array([0, 0, 0, 1, 1, 1])

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import misscomp
 from misscomp import cli
 from misscomp.pipeline import (
     DEFAULT_SENTINELS,
@@ -158,6 +163,19 @@ class TestIngest:
         path.write_bytes("a,b\ncafé,1\n".encode("latin-1"))
         with pytest.raises(IngestError, match="cannot read"):
             ingest(path)
+
+    @pytest.mark.parametrize("separator", ["\u0085", "\u2028"])
+    def test_unicode_line_separator_stays_in_its_cell(self, tmp_path, separator):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n1,x{separator}y\n2,z\n", encoding="utf-8")
+        data = ingest(path)
+        assert data.n == 2
+        assert data.column("b").tolist() == [f"x{separator}y", "z"]
+
+    def test_quoted_newline_is_kept(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('a,b\n1,"x\ny"\n2,z\n', encoding="utf-8")
+        assert ingest(path).column("b").tolist() == ["x\ny", "z"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
@@ -478,3 +496,86 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "parallel"
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # they cost most of the import time and are not needed to run
+    code = (
+        "import sys, misscomp.pipeline, misscomp.simulation, misscomp.cli; "
+        "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+    )
+    src = str(Path(misscomp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def golden_csv(tmp_path_factory):
+    """Four items sharing one missingness propensity, a numeric covariate
+    ``age``, a numeric strata column ``site`` whose values 2 and 10 sort
+    differently as strings, with one cell missing, and a 3-level categorical
+    ``grp`` whose level "hi" never occurs at site 10."""
+    rng = np.random.default_rng(20261018)
+    n, k = 300, 4
+    sigma = np.full((k, k), 0.7)
+    np.fill_diagonal(sigma, 1.0)
+    miss = rng.multivariate_normal(np.zeros(k), sigma, size=n) > stats.norm.ppf(1 - 0.3)
+    values = rng.normal(50.0, 10.0, size=(n, k))
+    age = rng.normal(40.0, 5.0, size=n)
+    site = rng.choice([2, 10], size=n)
+    grp = np.where(site == 2, rng.choice(["lo", "mid", "hi"], size=n), rng.choice(["lo", "mid"], size=n))
+    rows = []
+    for i in range(n):
+        row = ["" if miss[i, j] else f"{values[i, j]:.2f}" for j in range(k)]
+        rows.append(row + [f"{age[i]:.1f}", "" if i == 5 else str(site[i]), grp[i]])
+    path = tmp_path_factory.mktemp("golden") / "golden.csv"
+    return write_csv(path, [f"item{j + 1}" for j in range(k)] + ["age", "site", "grp"], rows)
+
+
+# SHA-256 of every bundle file but manifest.json, whose versions and paths
+# vary by machine, for the golden input at seed 11. Recorded while
+# categorical columns were still object arrays of strings. A CSV column of
+# "0"/"1" always ingests as numeric, so the stratum fits on the "0"/"1"
+# indicator columns are what cover the binary categorical predictor path.
+GOLDEN_DIGESTS = {
+    "loadings.csv": "4e439111979192ded9ef9ed4c2ff7df2c9af79f50e081ab690920a23ef714be2",
+    "loadings.md": "04d120c61d2970c46bb9e8576f5d6452dead939b0b64bef95bcc73ea2b4874df",
+    "logistic.csv": "0d861f960bb31821b5363402366ddfa25a049d6e0a528b0479d3854118da66f5",
+    "patterns.csv": "f105cf94e1098678cf5fa3e852190b5380939276619605386f0407dee0a7f772",
+    "patterns.json": "54562e14ba8e1beccc05449b5cdd8de42b9e08fed59a411f6f7209a9a179fd9e",
+    "patterns.md": "89615180fcf80d2dfa61e667d30e9133aae5421e007e5d87a88fb7073bf83704",
+    "retention.csv": "217123febf839385c65cb421f34363c65c948ddf64b3439019c5d893af1fbf3e",
+    "retention_curves.csv": "68ac2a8c9495a22e0fb5fe8c4410c735a9401bce357e71d81f1d1f146028fc87",
+    "scores.csv": "a0c7d2ea83c417835bee617b920850006927f9960226771fd8cf3bd0e7eb6b60",
+    "screens.csv": "444b93d5e15a9b6dca6cf0765ebe974f11bd51de2881e2e1f875053e82addae6",
+}
+
+
+class TestGoldenBundle:
+    def config(self, path, out, **kwargs):
+        return RunConfig(
+            input_path=path,
+            output_dir=out,
+            seed=11,
+            strata_column="site",
+            output_formats=("csv", "json", "md"),
+            **kwargs,
+        )
+
+    def test_bundle_bytes_match_recorded_digests(self, golden_csv, tmp_path):
+        result = analyze(self.config(golden_csv, tmp_path, covariate_columns=["age"]))
+        assert all(s["status"] == "done" for s in result.steps)
+        # numeric strata levels are named and ordered as strings
+        assert [r.stratum for r in result.strata] == ["10.0", "2.0"] * result.q
+        files = write_bundle(result)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in sorted(files)
+            if name != "manifest.json"
+        }
+        assert digests == GOLDEN_DIGESTS
+
+    def test_non_binary_categorical_covariate_rejected(self, golden_csv, tmp_path):
+        with pytest.raises(ValueError, match=r"^column 'grp' is categorical and not binary-coded$"):
+            analyze(self.config(golden_csv, tmp_path, covariate_columns=["grp"]))
