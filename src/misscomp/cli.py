@@ -9,61 +9,48 @@ recommended retention criterion for a planned design.
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-import scipy
-
 from . import __version__, reports, retention, simulation
 from .correlation import PEARSON, TETRACHORIC
 from .extraction import PAF, PCA
-from .indicators import build_indicators, tabulate_patterns
-from .pipeline import (
-    DEFAULT_SENTINELS,
-    IngestError,
-    PipelineError,
-    RunConfig,
-    analyze,
-    ingest,
-    write_bundle,
-)
+from .pipeline import IngestError, PipelineError, RunConfig, analyze, write_bundle, write_patterns
 
 
-def _split_csv_list(text: str) -> list[str]:
-    return [part for part in text.split(",")]
+def _csv_tuple(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
+def _names(text: str) -> list[str] | None:
+    return text.split(",") if text else None
 
 
 def _add_io_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="input CSV path")
-    p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--delimiter", default=",", help="field delimiter (default: ,)")
+    p.add_argument("--input", dest="input_path", required=True, help="input CSV path")
+    p.add_argument("--out", dest="output_dir", help="output directory (default: current)")
+    p.add_argument("--delimiter", help="field delimiter (default: ,)")
     p.add_argument(
         "--sentinels",
-        default=None,
+        dest="missing_sentinels",
+        type=_csv_tuple,
         help="comma-joined missing-value sentinels; a leading/trailing comma adds the "
         'empty string (default: "", NA, .)',
     )
-    p.add_argument("--columns", default=None, help="comma-joined columns to analyze (default: all)")
+    p.add_argument("--columns", type=_names, help="comma-joined columns to analyze (default: all)")
     p.add_argument(
         "--drop-fully-missing",
+        dest="drop_fully_missing_pattern",
         action="store_true",
         help="drop the all-missing pattern row and percent base",
     )
     p.add_argument(
         "--formats",
-        default="csv,json",
+        dest="output_formats",
+        type=_csv_tuple,
         help="comma-joined output formats from csv,json,md (default: csv,json)",
     )
-
-
-def _sentinels(args) -> tuple[str, ...]:
-    if args.sentinels is None:
-        return DEFAULT_SENTINELS
-    return tuple(_split_csv_list(args.sentinels))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,26 +61,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="run the full eight-step pipeline on a CSV")
+    # analyze and patterns parse into RunConfig fields; an absent flag keeps
+    # the RunConfig default
+    pa = sub.add_parser(
+        "analyze", help="run the full eight-step pipeline on a CSV", argument_default=argparse.SUPPRESS
+    )
     _add_io_args(pa)
-    pa.add_argument("--corr", choices=[PEARSON, TETRACHORIC], default=PEARSON)
-    pa.add_argument("--method", choices=[PCA, PAF], default=PCA)
+    pa.add_argument("--corr", dest="correlation_kind", choices=[PEARSON, TETRACHORIC])
+    pa.add_argument("--method", dest="extraction_method", choices=[PCA, PAF])
     pa.add_argument(
         "--criterion",
         choices=list(retention.CRITERIA) + ["auto"],
-        default=retention.PARALLEL,
-        help="decisive retention criterion; all four are always reported",
+        help="decisive retention criterion; all four are always reported (default: parallel)",
     )
-    pa.add_argument("--cutoff", type=float, default=0.0, help="dichotomization cutoff (default 0)")
-    pa.add_argument("--pa-reps", type=int, default=retention.PA_REPS)
-    pa.add_argument("--pa-percentile", type=float, default=retention.PA_PERCENTILE)
-    pa.add_argument("--seed", type=int, default=None, help="seed for the permutation null")
-    pa.add_argument("--strata", default=None, help="column to stratify the rerun by")
-    pa.add_argument("--covariates", default=None, help="comma-joined covariate columns")
-    pa.add_argument("--ipc-hint", type=int, default=None, help="items per component, for --criterion auto")
-    pa.add_argument("--components-hint", type=int, default=None, help="expected components, for --criterion auto")
+    pa.add_argument("--cutoff", type=float, help="dichotomization cutoff (default 0)")
+    pa.add_argument("--pa-reps", type=int)
+    pa.add_argument("--pa-percentile", type=float)
+    pa.add_argument("--seed", type=int, help="seed for the permutation null")
+    pa.add_argument("--strata", dest="strata_column", help="column to stratify the rerun by")
+    pa.add_argument(
+        "--covariates", dest="covariate_columns", type=_names, help="comma-joined covariate columns"
+    )
+    pa.add_argument(
+        "--ipc-hint",
+        dest="items_per_component_hint",
+        type=int,
+        help="items per component, for --criterion auto",
+    )
+    pa.add_argument(
+        "--components-hint",
+        dest="expected_components_hint",
+        type=int,
+        help="expected components, for --criterion auto",
+    )
 
-    pp = sub.add_parser("patterns", help="tabulate missingness patterns and stop")
+    pp = sub.add_parser(
+        "patterns", help="tabulate missingness patterns and stop", argument_default=argparse.SUPPRESS
+    )
     _add_io_args(pp)
 
     ps = sub.add_parser("simulate", help="criterion-recovery Monte Carlo")
@@ -115,85 +119,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_config(args) -> RunConfig:
+    return RunConfig(**{name: value for name, value in vars(args).items() if name != "command"})
+
+
 def _cmd_analyze(args) -> int:
-    config = RunConfig(
-        input_path=args.input,
-        output_dir=args.out,
-        delimiter=args.delimiter,
-        missing_sentinels=_sentinels(args),
-        columns=_split_csv_list(args.columns) if args.columns else None,
-        correlation_kind=args.corr,
-        extraction_method=args.method,
-        criterion=args.criterion,
-        cutoff=args.cutoff,
-        pa_reps=args.pa_reps,
-        pa_percentile=args.pa_percentile,
-        seed=args.seed,
-        strata_column=args.strata,
-        covariate_columns=_split_csv_list(args.covariates) if args.covariates else None,
-        items_per_component_hint=args.ipc_hint,
-        expected_components_hint=args.components_hint,
-        drop_fully_missing_pattern=args.drop_fully_missing,
-        output_formats=tuple(_split_csv_list(args.formats)),
-    )
-    result = analyze(config)
+    result = analyze(_run_config(args))
     files = write_bundle(result)
     for crit, dec in result.decisions.items():
         marker = " (decisive)" if crit == result.decisive else ""
         print(f"{crit}: {dec.k_retained} component(s){marker}")
-    print(f"wrote {len(files)} file(s) to {config.output_dir}")
+    print(f"wrote {len(files)} file(s) to {result.config.output_dir}")
     return 0
 
 
 def _cmd_patterns(args) -> int:
-    formats = set(_split_csv_list(args.formats))
-    data = ingest(args.input, _sentinels(args), args.delimiter)
-    try:
-        ind = build_indicators(data, _split_csv_list(args.columns) if args.columns else None)
-    except (KeyError, ValueError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        raise PipelineError("step1-indicators", str(msg)) from exc
-    table = tabulate_patterns(ind, drop_fully_missing=args.drop_fully_missing)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    if "csv" in formats:
-        reports.write_patterns_csv(outdir / "patterns.csv", table)
-        files.append("patterns.csv")
-    if "md" in formats:
-        reports.write_patterns_md(outdir / "patterns.md", table)
-        files.append("patterns.md")
-    if "json" in formats:
-        reports.write_patterns_json(outdir / "patterns.json", table)
-        files.append("patterns.json")
-    manifest = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "tool": {"name": "misscomp", "version": __version__},
-        "command": "patterns",
-        "config": {
-            "input_path": str(args.input),
-            "delimiter": args.delimiter,
-            "missing_sentinels": list(_sentinels(args)),
-            "columns": _split_csv_list(args.columns) if args.columns else None,
-            "drop_fully_missing_pattern": bool(args.drop_fully_missing),
-        },
-        "data": {
-            "n": data.n,
-            "p": data.p,
-            "indicator_columns": ind.column_names,
-            "dropped_columns": [{"column": c, "reason": r} for c, r in ind.dropped_columns],
-        },
-        "patterns": {
-            "n_observed": table.n_observed_patterns,
-            "max_possible": table.max_possible,
-            "n_fully_missing": table.n_fully_missing,
-        },
-        "files": sorted(files + ["manifest.json"]),
-    }
-    reports.write_manifest(outdir / "manifest.json", manifest)
+    config = _run_config(args)
+    table, files = write_patterns(config)
     print(
         f"{table.n_observed_patterns} pattern(s) across {table.k} indicator(s); "
-        f"wrote {len(files) + 1} file(s) to {args.out}"
+        f"wrote {len(files)} file(s) to {config.output_dir}"
     )
     return 0
 
@@ -204,7 +149,7 @@ def _parse_cells(args) -> list[simulation.SimCondition]:
     if not args.cell:
         raise PipelineError("simulate", "pass --full or at least one --cell CxI")
     structures = []
-    for token in _split_csv_list(args.cell):
+    for token in args.cell.split(","):
         parts = token.lower().split("x")
         if len(parts) != 2:
             raise PipelineError("simulate", f"bad --cell value {token!r}; expected CxI like 3x5")
@@ -213,8 +158,8 @@ def _parse_cells(args) -> list[simulation.SimCondition]:
         except ValueError:
             raise PipelineError("simulate", f"bad --cell value {token!r}; expected integers") from None
     try:
-        ns = [int(v) for v in _split_csv_list(args.n)]
-        pmisses = [float(v) for v in _split_csv_list(args.pmiss)]
+        ns = [int(v) for v in args.n.split(",")]
+        pmisses = [float(v) for v in args.pmiss.split(",")]
     except ValueError:
         raise PipelineError("simulate", "--n takes integers and --pmiss takes floats") from None
     try:
@@ -237,28 +182,17 @@ def _cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     reports.write_grid_csv(outdir / "grid.csv", report)
     reports.write_aggregate_csv(outdir / "aggregate.csv", report)
-    manifest = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "tool": {"name": "misscomp", "version": __version__},
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        "command": "simulate",
-        "seed": args.seed,
-        "config": {
-            "cells": [list(c.key()) for c in conditions],
-            "n_cells": len(conditions),
-            "reps": args.reps,
-            "workers": args.workers,
-            "corr": args.corr,
-            "method": args.method,
-            "full": bool(args.full),
-        },
-        "elapsed_seconds": round(elapsed, 3),
-        "files": ["aggregate.csv", "grid.csv", "manifest.json"],
-    }
+    # the worker count and the elapsed time stay out, so reruns match byte for byte
+    settings = dict(
+        cells=[list(c.key()) for c in conditions],
+        n_cells=len(conditions),
+        reps=args.reps,
+        corr=args.corr,
+        method=args.method,
+        full=args.full,
+    )
+    files = ["aggregate.csv", "grid.csv", "manifest.json"]
+    manifest = reports.manifest("simulate", files, seed=args.seed, config=settings)
     reports.write_manifest(outdir / "manifest.json", manifest)
     agg = report.aggregate()
     for crit, stats in agg.items():

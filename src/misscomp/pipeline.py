@@ -10,15 +10,12 @@ failed.
 from __future__ import annotations
 
 import csv
-import json
-import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
-from . import __version__, correlation, extraction, mechanism, reports, retention
+from . import correlation, extraction, mechanism, reports, retention
 from .correlation import PEARSON, TETRACHORIC
 from .extraction import PAF, PCA
 from .indicators import (
@@ -167,6 +164,21 @@ def ingest(
     return Dataset(column_names=header, columns=columns, kinds=kinds, levels=levels)
 
 
+def tabulate(config: RunConfig) -> tuple[Dataset, IndicatorMatrix, PatternTable]:
+    """Step 1: ingest the input, build its indicators and tabulate patterns.
+
+    An unreadable input raises IngestError; a column selection that does
+    not fit the data raises PipelineError("step1-indicators").
+    """
+    data = ingest(config.input_path, tuple(config.missing_sentinels), config.delimiter)
+    try:
+        ind = build_indicators(data, config.columns)
+    except (KeyError, ValueError) as exc:
+        msg = exc.args[0] if exc.args else str(exc)
+        raise PipelineError("step1-indicators", str(msg)) from exc
+    return data, ind, tabulate_patterns(ind, drop_fully_missing=config.drop_fully_missing_pattern)
+
+
 @dataclass
 class AnalysisResult:
     config: RunConfig
@@ -223,15 +235,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
 
     # step 1: indicators and pattern tabulation
     try:
-        data = ingest(config.input_path, tuple(config.missing_sentinels), config.delimiter)
+        data, ind, patterns = tabulate(config)
     except IngestError as exc:
         raise PipelineError("step1-indicators", str(exc)) from exc
-    try:
-        ind = build_indicators(data, config.columns)
-    except (KeyError, ValueError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        raise PipelineError("step1-indicators", str(msg)) from exc
-    patterns = tabulate_patterns(ind, drop_fully_missing=config.drop_fully_missing_pattern)
     done("step1-indicators", f"{ind.k} indicator columns, {patterns.n_observed_patterns} patterns")
 
     if ind.k < 2:
@@ -321,22 +327,23 @@ def analyze(config: RunConfig) -> AnalysisResult:
         if name not in data.column_names:
             raise PipelineError("step7-logistic", f"covariate column {name!r} not in dataset")
 
-    testable_components = []
-    for j in range(q):
+    # (label, flags over the usable rows) of each component with both classes
+    testable: list[tuple[str, np.ndarray]] = []
+    for j, flag in enumerate(np.array(comp_scores.dichotomized[usable].T, dtype=int, order="C")):
         label = f"component_{j + 1}"
-        flag = comp_scores.dichotomized[usable, j].astype(int)
         if flag.min() == flag.max():
             notes.append(f"{label}: dichotomized score has a single class; screens and fits skipped")
             continue
-        testable_components.append(j)
+        testable.append((label, flag))
         for res in mechanism.screen(screen_data, flag, screen_vars):
             screen_rows.append((label, "", res))
-    done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable_components)} component(s)")
+    done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")
 
-    for j in testable_components:
-        label = f"component_{j + 1}"
-        flag = comp_scores.dichotomized[usable, j].astype(int)
-        x_ind = ind.values[usable].astype(np.float64)
+    x_ind = ind.values[usable].astype(np.float64)
+    if covariates and testable:
+        cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])[usable]
+        keep = np.isfinite(cov).all(axis=1)
+    for label, flag in testable:
         for m, ind_name in enumerate(indicator_names):
             logistic_rows.append(
                 (label, "", f"simple:{ind_name}", mechanism.fit_logistic(flag, x_ind[:, [m]], [ind_name]))
@@ -345,17 +352,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
             (label, "", "multiple", mechanism.fit_logistic(flag, x_ind, indicator_names))
         )
         if covariates:
-            cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])[usable]
-            keep = np.isfinite(cov).all(axis=1)
             if keep.sum() and flag[keep].min() != flag[keep].max():
-                logistic_rows.append(
-                    (
-                        label,
-                        "",
-                        "covariates",
-                        mechanism.fit_logistic(flag[keep], cov[keep], covariates),
-                    )
-                )
+                fit = mechanism.fit_logistic(flag[keep], cov[keep], covariates)
+                logistic_rows.append((label, "", "covariates", fit))
             else:
                 notes.append(f"{label}: covariate fit skipped (no complete rows with both classes)")
     done("step7-logistic", f"{len(logistic_rows)} fitted model(s)")
@@ -364,9 +363,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     if config.strata_column:
         if config.strata_column not in data.column_names:
             raise PipelineError("step8-strata", f"strata column {config.strata_column!r} not in dataset")
-        for j in testable_components:
-            label = f"component_{j + 1}"
-            flag = comp_scores.dichotomized[usable, j].astype(int)
+        for label, flag in testable:
             for res in mechanism.stratified_rerun(
                 screen_data, flag, config.strata_column, screen_vars, indicator_names
             ):
@@ -402,64 +399,46 @@ def analyze(config: RunConfig) -> AnalysisResult:
     )
 
 
-def build_manifest(result: AnalysisResult, files: list[str]) -> dict:
-    config = result.config
-    separated = [
-        {"component": comp, "stratum": stratum, "model": model}
-        for comp, stratum, model, fit in result.logistic_rows
-        if fit.separated
-    ]
-    manifest = {
-        "schema_version": reports.SCHEMA_VERSION,
-        "tool": {"name": "misscomp", "version": __version__},
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        "seed": result.seed,
-        "config": {
-            "input_path": str(config.input_path),
-            "output_dir": str(config.output_dir),
-            "delimiter": config.delimiter,
-            "missing_sentinels": list(config.missing_sentinels),
-            "columns": config.columns,
-            "correlation_kind": config.correlation_kind,
-            "extraction_method": config.extraction_method,
-            "criterion": config.criterion,
-            "cutoff": config.cutoff,
-            "pa_reps": config.pa_reps,
-            "pa_percentile": config.pa_percentile,
-            "seed": config.seed,
-            "strata_column": config.strata_column,
-            "covariate_columns": config.covariate_columns,
-            "items_per_component_hint": config.items_per_component_hint,
-            "expected_components_hint": config.expected_components_hint,
-            "drop_fully_missing_pattern": config.drop_fully_missing_pattern,
-            "output_formats": list(config.output_formats),
-        },
+def _input_sections(data: Dataset, ind: IndicatorMatrix, table: PatternTable) -> dict:
+    """The manifest's ``data`` and ``patterns`` sections, shared by analyze and patterns."""
+    return {
         "data": {
-            "n": result.data.n,
-            "p": result.data.p,
-            "indicator_columns": result.ind.column_names,
-            "dropped_columns": [
-                {"column": name, "reason": reason} for name, reason in result.ind.dropped_columns
-            ],
-            "n_fully_missing_rows": int(result.ind.fully_missing_rows.sum()),
+            "n": data.n,
+            "p": data.p,
+            "indicator_columns": ind.column_names,
+            "dropped_columns": [{"column": name, "reason": reason} for name, reason in ind.dropped_columns],
+            "n_fully_missing_rows": int(ind.fully_missing_rows.sum()),
         },
         "patterns": {
-            "n_observed": result.patterns.n_observed_patterns,
-            "max_possible": result.patterns.max_possible,
-            "n_fully_missing": result.patterns.n_fully_missing,
+            "n_observed": table.n_observed_patterns,
+            "max_possible": table.max_possible,
+            "n_fully_missing": table.n_fully_missing,
         },
-        "correlation": {
+    }
+
+
+def _settings(config: RunConfig) -> dict:
+    """Every RunConfig field as JSON reads it back: paths as strings, tuples as lists."""
+    return {
+        name: str(value) if isinstance(value, Path) else list(value) if isinstance(value, tuple) else value
+        for name, value in asdict(config).items()
+    }
+
+
+def build_manifest(result: AnalysisResult, files: list[str]) -> dict:
+    min_eig = result.corr.min_eigenvalue_before_repair
+    return reports.manifest(
+        "analyze",
+        files,
+        seed=result.seed,
+        config=_settings(result.config),
+        **_input_sections(result.data, result.ind, result.patterns),
+        correlation={
             "kind": result.corr.kind,
             "pd_repaired": result.corr.pd_repaired,
-            "min_eigenvalue_before_repair": None
-            if np.isnan(result.corr.min_eigenvalue_before_repair)
-            else result.corr.min_eigenvalue_before_repair,
+            "min_eigenvalue_before_repair": None if np.isnan(min_eig) else min_eig,
         },
-        "retention": {
+        retention={
             "decisive": result.decisive,
             "q": result.q,
             "decisions": {
@@ -467,15 +446,28 @@ def build_manifest(result: AnalysisResult, files: list[str]) -> dict:
                 for crit, dec in result.decisions.items()
             },
         },
-        "extraction": reports.solution_summary(result.solution) if result.solution else None,
-        "orientation": [int(s) for s in result.scores.orientation] if result.scores else None,
-        "loading_bold_threshold": reports.LOADING_BOLD_THRESHOLD,
-        "separated_fits": separated,
-        "steps": result.steps,
-        "notes": result.notes,
-        "files": sorted(files),
-    }
-    return manifest
+        extraction=reports.solution_summary(result.solution) if result.solution else None,
+        orientation=[int(s) for s in result.scores.orientation] if result.scores else None,
+        loading_bold_threshold=reports.LOADING_BOLD_THRESHOLD,
+        separated_fits=[
+            {"component": comp, "stratum": stratum, "model": model}
+            for comp, stratum, model, fit in result.logistic_rows
+            if fit.separated
+        ],
+        steps=result.steps,
+        notes=result.notes,
+    )
+
+
+def _pattern_files(table: PatternTable, formats, outdir: Path) -> list[str]:
+    """Write the pattern table in each requested format; returns the file names."""
+    files = []
+    for fmt in FORMATS:
+        if fmt in formats:
+            files.append(f"patterns.{fmt}")
+            # looked up at call time, so a wrapped writer is the one called
+            getattr(reports, f"write_patterns_{fmt}")(outdir / files[-1], table)
+    return files
 
 
 def write_bundle(result: AnalysisResult, output_dir: str | Path | None = None) -> list[str]:
@@ -483,14 +475,13 @@ def write_bundle(result: AnalysisResult, output_dir: str | Path | None = None) -
     outdir = Path(output_dir if output_dir is not None else result.config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     formats = set(result.config.output_formats)
-    files: list[str] = []
+    files = _pattern_files(result.patterns, formats, outdir)
 
     def emit(name):
         files.append(name)
         return outdir / name
 
     if "csv" in formats:
-        reports.write_patterns_csv(emit("patterns.csv"), result.patterns)
         reports.write_retention_csv(emit("retention.csv"), result.decisions, result.decisive)
         reports.write_retention_curves_csv(
             emit("retention_curves.csv"), result.decisions, result.retention_eigenvalues
@@ -505,16 +496,25 @@ def write_bundle(result: AnalysisResult, output_dir: str | Path | None = None) -
             reports.write_screens_csv(emit("screens.csv"), result.screen_rows)
         if result.logistic_rows:
             reports.write_logistic_csv(emit("logistic.csv"), result.logistic_rows)
-    if "md" in formats:
-        reports.write_patterns_md(emit("patterns.md"), result.patterns)
-        if result.oriented_loadings is not None:
-            reports.write_loadings_md(
-                emit("loadings.md"), result.ind.column_names, result.oriented_loadings
-            )
-    if "json" in formats:
-        reports.write_patterns_json(emit("patterns.json"), result.patterns)
+    if "md" in formats and result.oriented_loadings is not None:
+        reports.write_loadings_md(emit("loadings.md"), result.ind.column_names, result.oriented_loadings)
 
-    manifest = build_manifest(result, files + ["manifest.json"])
-    reports.write_manifest(outdir / "manifest.json", manifest)
     files.append("manifest.json")
+    reports.write_manifest(outdir / "manifest.json", build_manifest(result, files))
     return files
+
+
+def write_patterns(config: RunConfig) -> tuple[PatternTable, list[str]]:
+    """Step 1 alone: write the pattern table in the configured formats and a
+    manifest; returns the table and the written file names."""
+    config.validate()
+    data, ind, table = tabulate(config)
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = _pattern_files(table, set(config.output_formats), outdir)
+    files.append("manifest.json")
+    manifest = reports.manifest(
+        "patterns", files, config=_settings(config), **_input_sections(data, ind, table)
+    )
+    reports.write_manifest(outdir / "manifest.json", manifest)
+    return table, files

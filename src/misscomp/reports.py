@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .extraction import ComponentScores, EigenSolution
 from .indicators import PatternTable
 from .mechanism import LogisticFit, ScreenResult
@@ -286,6 +289,23 @@ def write_aggregate_csv(path: Path, report: SimReport) -> None:
                     stats["n_success_cells"],
                 ]
             )
+
+
+def manifest(command: str, files: list[str], **sections) -> dict:
+    """The manifest of one run: schema and library versions, the command,
+    its own sections (settings, seed, counts) and the sorted file names."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "misscomp", "version": __version__},
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "command": command,
+        **sections,
+        "files": sorted(files),
+    }
 
 
 def write_manifest(path: Path, manifest: dict) -> None:

@@ -6,8 +6,10 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +383,14 @@ class TestBundle:
         written = json.loads((tmp_path / "manifest.json").read_text())
         assert rebuilt == written
 
+    def test_manifest_records_every_setting(self, full_result, tmp_path):
+        write_bundle(full_result, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "analyze"
+        assert set(manifest["config"]) == {f.name for f in fields(RunConfig)}
+        assert manifest["config"]["output_formats"] == ["csv", "json", "md"]
+        assert manifest["config"]["covariate_columns"] == ["age"]
+
     def test_rerun_is_byte_identical(self, synthetic_csv, tmp_path):
         config = RunConfig(
             input_path=synthetic_csv,
@@ -427,6 +437,36 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "patterns.md").exists()
         assert not (tmp_path / "patterns.csv").exists()
+
+    def test_patterns_rejects_unknown_format(self, synthetic_csv, tmp_path, capsys):
+        rc = cli.main(
+            ["patterns", "--input", str(synthetic_csv), "--out", str(tmp_path), "--formats", "xml"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == "error [patterns]: unknown output formats ['xml']"
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_patterns_manifest_shares_analyze_sections(self, synthetic_csv, tmp_path, capsys):
+        common = [
+            "--input", str(synthetic_csv),
+            "--columns", "item1,item2,item3",
+            "--sentinels", ",NA",
+            "--drop-fully-missing",
+        ]
+        assert cli.main(["patterns", *common, "--out", str(tmp_path / "p")]) == 0
+        assert cli.main(["analyze", *common, "--out", str(tmp_path / "a"), "--seed", "5"]) == 0
+        pat = json.loads((tmp_path / "p" / "manifest.json").read_text())
+        ana = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert pat["data"] == ana["data"]
+        assert pat["patterns"] == ana["patterns"]
+        assert pat["data"]["indicator_columns"] == ["item1_miss", "item2_miss", "item3_miss"]
+        assert pat["command"] == "patterns"
+        assert pat["config"]["input_path"] == str(synthetic_csv)
+        assert pat["config"]["delimiter"] == ","
+        assert pat["config"]["missing_sentinels"] == ["", "NA"]
+        assert pat["config"]["columns"] == ["item1", "item2", "item3"]
+        assert pat["config"]["drop_fully_missing_pattern"] is True
+        assert pat["files"] == ["manifest.json", "patterns.csv", "patterns.json"]
 
     def test_analyze_end_to_end(self, synthetic_csv, tmp_path, capsys):
         rc = cli.main(
@@ -487,6 +527,28 @@ class TestCli:
         # cells are recorded as the integer seeding keys
         assert manifest["config"]["cells"] == [[1, 5, 150, 2500, 0, 0]]
         assert manifest["config"]["reps"] == 2
+
+    def test_simulate_bytes_do_not_depend_on_workers(self, tmp_path, capsys):
+        # two cells, so --workers 2 runs them in a process pool
+        for workers in ("1", "2"):
+            rc = cli.main(
+                [
+                    "simulate",
+                    "--cell", "1x3",
+                    "--n", "100",
+                    "--pmiss", "0.1,0.25",
+                    "--reps", "2",
+                    "--seed", "4",
+                    "--workers", workers,
+                    "--out", str(tmp_path / workers),
+                ]
+            )
+            assert rc == 0
+        # the elapsed time goes to stdout only
+        out = capsys.readouterr().out
+        assert len(re.findall(r"^wrote grid.csv, aggregate.csv, manifest.json to .* in \d+\.\ds$", out, re.M)) == 2
+        for name in ("grid.csv", "aggregate.csv", "manifest.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_console_script_installed(self):
         proc = subprocess.run(
