@@ -152,8 +152,6 @@ def _bvn_density(h, k, rho):
 
 def pearson(ind: IndicatorMatrix) -> CorrelationMatrix:
     """Pearson (phi) correlation of the indicator columns."""
-    if ind.k < 2:
-        raise ValueError("need at least 2 indicator columns")
     x = ind.values.astype(np.float64)
     z = x - x.mean(axis=0)
     norms = np.sqrt((z * z).sum(axis=0))
@@ -245,8 +243,6 @@ def tetrachoric(ind: IndicatorMatrix) -> CorrelationMatrix:
     both-missing count is C_ij and the column sums sit on its diagonal. All
     pairs are solved together.
     """
-    if ind.k < 2:
-        raise ValueError("need at least 2 indicator columns")
     k, n = ind.k, ind.n
     c = cooccurrence(ind.values)
     m = np.diag(c)
@@ -256,6 +252,17 @@ def tetrachoric(ind: IndicatorMatrix) -> CorrelationMatrix:
     r = np.eye(k)
     r[i, j] = r[j, i] = _solve_tables(cells, np.column_stack([i, j]))
     return CorrelationMatrix(r, TETRACHORIC)
+
+
+def correlate(ind: IndicatorMatrix, kind: str) -> CorrelationMatrix:
+    """The indicators' correlation of the given kind, repaired to positive definite.
+
+    This is the matrix both ``analyze`` and ``simulate`` extract from. Fewer
+    than 2 indicator columns raise ValueError.
+    """
+    if ind.k < 2:
+        raise ValueError(f"only {ind.k} indicator column(s); need at least 2 to correlate")
+    return repair_pd({PEARSON: pearson, TETRACHORIC: tetrachoric}[kind](ind))
 
 
 def repair_pd(c: CorrelationMatrix) -> CorrelationMatrix:

@@ -81,12 +81,15 @@ def smc(values: np.ndarray) -> tuple[np.ndarray, bool]:
         return off.max(axis=1), True
 
 
-def reduced_spectrum(c: CorrelationMatrix) -> np.ndarray:
-    """Eigenvalues of the correlation matrix with SMC on the diagonal.
+def spectrum(c: CorrelationMatrix, method: str) -> np.ndarray:
+    """Eigenvalues the retention criteria read, in descending order.
 
-    This is the common-variance spectrum retention criteria consume when
-    factoring rather than principal components is the extraction method.
+    Under PCA these are the correlation matrix's own. Under PAF the diagonal
+    holds squared multiple correlations instead, which gives the
+    common-variance spectrum without needing a factor count.
     """
+    if method == PCA:
+        return pca(c).eigenvalues
     h, _ = smc(c.values)
     reduced = c.values.copy()
     np.fill_diagonal(reduced, h)

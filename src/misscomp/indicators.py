@@ -63,6 +63,7 @@ class Dataset:
     columns: list[np.ndarray]
     kinds: list[str]
     levels: list[list[str] | None] | None = None
+    coerced: dict[str, int] = field(default_factory=dict)  # numeric column -> tokens read as missing
 
     def __post_init__(self):
         if len(set(self.column_names)) != len(self.column_names):

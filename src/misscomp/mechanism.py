@@ -22,6 +22,7 @@ IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
 SEPARATION_PROB_TOL = 1e-8
 SEPARATION_COEF_BOUND = 15.0
+RANK_TOL = 1e-10
 # model-matrix value of each binary level name; any other level is not binary
 _BINARY_LEVELS = {"0": 0.0, "1": 1.0}
 
@@ -205,18 +206,23 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _drop_aliased(x: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str], list[str]]:
-    """Greedy left-to-right removal of linearly dependent columns."""
-    kept_idx: list[int] = []
-    rank = 0
-    for j in range(x.shape[1]):
-        trial = x[:, kept_idx + [j]]
-        r = np.linalg.matrix_rank(trial)
-        if r > rank:
-            kept_idx.append(j)
-            rank = r
-    aliased = [names[j] for j in range(x.shape[1]) if j not in kept_idx]
-    return x[:, kept_idx], [names[j] for j in kept_idx], aliased
+def _independent_columns(x: np.ndarray) -> list[int]:
+    """Left to right, the columns of ``x`` that add rank over those kept before.
+
+    One pass over xᵀx scaled to unit diagonal: eliminating each kept column
+    leaves on the diagonal each later column's squared sine to the kept
+    span, and at most RANK_TOL (an all-zero column too) means aliased.
+    """
+    gram = x.T @ x
+    d = np.sqrt(np.diag(gram))
+    d[d == 0.0] = 1.0
+    a = gram / np.outer(d, d)
+    kept = []
+    for j in range(a.shape[0]):
+        if a[j, j] > RANK_TOL:
+            kept.append(j)
+            a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j, j + 1 :]) / a[j, j]
+    return kept
 
 
 def fit_logistic(
@@ -247,9 +253,10 @@ def fit_logistic(
 
     design = np.column_stack([np.ones(len(y)), x])
     names = ["intercept"] + list(predictor_names)
-    aliased: list[str] = []
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        design, names, aliased = _drop_aliased(design, names)
+    kept = _independent_columns(design)
+    aliased = [name for j, name in enumerate(names) if j not in kept]
+    if aliased:
+        design, names = design[:, kept], [names[j] for j in kept]
 
     # predictor scale for the runaway-coefficient separation check
     sds = design.std(axis=0)

@@ -101,9 +101,10 @@ def ingest(
     """Read a delimited text file into a typed dataset.
 
     The first row is the header. A column is numeric when at least 90% of
-    its non-missing cells parse as numbers (the stragglers become missing);
-    otherwise it is categorical, stored as integer codes into its sorted
-    level names. Cells matching a sentinel are missing either way. ``inf``,
+    its non-missing cells parse as numbers (the stragglers become missing,
+    and their count per column is kept in ``Dataset.coerced``); otherwise
+    it is categorical, stored as integer codes into its sorted level
+    names. Cells matching a sentinel are missing either way. ``inf``,
     ``-inf`` and ``nan`` tokens count as numbers for that rule, but a
     numeric column holding one is rejected with an IngestError naming
     column, row and token: coerced to missing, it would become a
@@ -140,6 +141,7 @@ def ingest(
     columns = []
     kinds = []
     levels = []
+    coerced = {}
     for name, raw in zip(header, zip(*body) if body else [()] * len(header)):
         cells = [c.strip() for c in raw]
         parsed = [None if c in sentinel_set else _parse_number(c) for c in cells]
@@ -153,6 +155,8 @@ def ingest(
                         f"{path}: column {name!r} row {i + 2} holds the non-finite "
                         f"number {cells[i]!r}; declare it a missing sentinel or fix the cell"
                     )
+            if n_numeric < n_present:
+                coerced[name] = n_present - n_numeric
             columns.append(col)
             kinds.append(NUMERIC)
             levels.append(None)
@@ -161,7 +165,7 @@ def ingest(
             columns.append(codes)
             kinds.append(CATEGORICAL)
             levels.append(names)
-    return Dataset(column_names=header, columns=columns, kinds=kinds, levels=levels)
+    return Dataset(column_names=header, columns=columns, kinds=kinds, levels=levels, coerced=coerced)
 
 
 def tabulate(config: RunConfig) -> tuple[Dataset, IndicatorMatrix, PatternTable]:
@@ -240,42 +244,19 @@ def analyze(config: RunConfig) -> AnalysisResult:
         raise PipelineError("step1-indicators", str(exc)) from exc
     done("step1-indicators", f"{ind.k} indicator columns, {patterns.n_observed_patterns} patterns")
 
-    if ind.k < 2:
-        raise PipelineError(
-            "step2-correlation",
-            f"only {ind.k} indicator column(s); need at least 2 to correlate",
-        )
-
     # step 2: correlation of indicators (repair to positive definite if needed)
     try:
-        corr = (
-            correlation.pearson(ind)
-            if config.correlation_kind == PEARSON
-            else correlation.tetrachoric(ind)
-        )
-    except correlation.EstimationError as exc:
+        corr = correlation.correlate(ind, config.correlation_kind)
+    except (correlation.EstimationError, ValueError) as exc:
         raise PipelineError("step2-correlation", str(exc)) from exc
-    corr = correlation.repair_pd(corr)
     done(
         "step2-correlation",
         f"{config.correlation_kind}" + (", repaired to positive definite" if corr.pd_repaired else ""),
     )
 
     # step 3: retention criteria (all four, side by side)
-    if config.extraction_method == PCA:
-        base_solution = extraction.pca(corr)
-        spectrum = base_solution.eigenvalues
-    else:
-        base_solution = None
-        spectrum = extraction.reduced_spectrum(corr)
-    decisions = {
-        retention.KAISER: retention.kaiser(spectrum),
-        retention.EKC: retention.ekc(spectrum, ind.n, ind.k),
-        retention.PARALLEL: retention.parallel_analysis(
-            ind, spectrum, reps=config.pa_reps, percentile=config.pa_percentile, seed=seed
-        ),
-        retention.PROFILE_LIKELIHOOD: retention.profile_likelihood(spectrum),
-    }
+    spectrum = extraction.spectrum(corr, config.extraction_method)
+    decisions = retention.decide(ind, spectrum, seed, config.pa_reps, config.pa_percentile)
     decisive = config.criterion
     if decisive == "auto":
         decisive = retention.guidance(
@@ -295,12 +276,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
         )
 
     # step 4: extract q components and score
-    if config.extraction_method == PCA:
-        solution = base_solution
-    else:
-        solution = extraction.paf(corr, q)
-        if not solution.converged:
-            notes.append("principal axis factoring did not converge; last iterate reported")
+    solution = extraction.pca(corr) if config.extraction_method == PCA else extraction.paf(corr, q)
+    if not solution.converged:
+        notes.append("principal axis factoring did not converge; last iterate reported")
     oriented, _, _ = extraction.oriented_weights(solution, q)
     comp_scores = extraction.scores(ind, solution, q, cutoff=config.cutoff)
     done("step4-extraction", f"extracted {q} component(s) with {config.extraction_method}")
@@ -408,6 +386,7 @@ def _input_sections(data: Dataset, ind: IndicatorMatrix, table: PatternTable) ->
             "indicator_columns": ind.column_names,
             "dropped_columns": [{"column": name, "reason": reason} for name, reason in ind.dropped_columns],
             "n_fully_missing_rows": int(ind.fully_missing_rows.sum()),
+            "coerced_cells": data.coerced,
         },
         "patterns": {
             "n_observed": table.n_observed_patterns,

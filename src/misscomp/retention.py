@@ -40,10 +40,15 @@ def _validate_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
     return e
 
 
+def _leading_run(e: np.ndarray, refs: np.ndarray | float) -> int:
+    """How many leading eigenvalues exceed their references, up to the first that does not."""
+    return int(np.logical_and.accumulate(e > refs).sum())
+
+
 def kaiser(eigenvalues: np.ndarray) -> RetentionDecision:
     """Retain components with eigenvalue strictly greater than 1."""
     e = _validate_spectrum(eigenvalues)
-    return RetentionDecision(KAISER, int(np.sum(e > 1.0)))
+    return RetentionDecision(KAISER, _leading_run(e, 1.0))
 
 
 def ekc(eigenvalues: np.ndarray, n: int, k: int) -> RetentionDecision:
@@ -60,18 +65,9 @@ def ekc(eigenvalues: np.ndarray, n: int, k: int) -> RetentionDecision:
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     edge = (1.0 + math.sqrt(k / n)) ** 2
-    refs = np.empty(k)
-    used = 0.0
-    for j in range(k):
-        refs[j] = max(edge * (k - used) / (k - j), 1.0)
-        used += e[j]
-    retained = 0
-    for j in range(k):
-        if e[j] > refs[j]:
-            retained += 1
-        else:
-            break
-    return RetentionDecision(EKC, retained, diagnostics=refs)
+    used = np.concatenate(([0.0], np.cumsum(e[:-1])))
+    refs = np.maximum(edge * (k - used) / (k - np.arange(k)), 1.0)
+    return RetentionDecision(EKC, _leading_run(e, refs), diagnostics=refs)
 
 
 def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
@@ -138,13 +134,7 @@ def parallel_analysis(
     if kept.shape[0] == 0:
         return RetentionDecision(PARALLEL, 0, diagnostics=None, converged=False)
     refs = np.quantile(kept, percentile, axis=0, method="linear")
-    retained = 0
-    for j in range(ind.k):
-        if e[j] > refs[j]:
-            retained += 1
-        else:
-            break
-    return RetentionDecision(PARALLEL, retained, diagnostics=refs, converged=converged)
+    return RetentionDecision(PARALLEL, _leading_run(e, refs), diagnostics=refs, converged=converged)
 
 
 def profile_loglik_curve(eigenvalues: np.ndarray) -> np.ndarray:
@@ -176,6 +166,25 @@ def profile_likelihood(eigenvalues: np.ndarray) -> RetentionDecision:
     curve = profile_loglik_curve(eigenvalues)
     best = int(np.argmax(curve)) + 1
     return RetentionDecision(PROFILE_LIKELIHOOD, best, diagnostics=curve)
+
+
+def decide(
+    ind: IndicatorMatrix,
+    eigenvalues: np.ndarray,
+    seed: int,
+    reps: int = PA_REPS,
+    percentile: float = PA_PERCENTILE,
+) -> dict[str, RetentionDecision]:
+    """All four criteria on one spectrum of the indicators, in CRITERIA order.
+
+    ``seed``, ``reps`` and ``percentile`` set the parallel-analysis null.
+    """
+    return {
+        KAISER: kaiser(eigenvalues),
+        EKC: ekc(eigenvalues, ind.n, ind.k),
+        PARALLEL: parallel_analysis(ind, eigenvalues, reps=reps, percentile=percentile, seed=seed),
+        PROFILE_LIKELIHOOD: profile_likelihood(eigenvalues),
+    }
 
 
 def guidance(n: int, items_per_component: int, expected_components: int) -> str:

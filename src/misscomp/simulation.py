@@ -21,7 +21,7 @@ from . import correlation, extraction, retention
 from .correlation import PEARSON, TETRACHORIC, EstimationError
 from .extraction import PAF, PCA
 from .indicators import IndicatorMatrix
-from .retention import CRITERIA, EKC, KAISER, PARALLEL, PROFILE_LIKELIHOOD
+from .retention import CRITERIA, PARALLEL
 
 WITHIN_CORR = 0.7
 BETWEEN_CORR = 0.3
@@ -157,34 +157,23 @@ def generate(cond: SimCondition, seed: int) -> IndicatorMatrix:
 def _replication_decisions(
     cond: SimCondition, gen_rng: np.random.Generator, pa_seed: int
 ) -> dict[str, retention.RetentionDecision | None]:
-    """All four retention decisions for one replication.
+    """All four retention decisions for one replication, reached as ``analyze`` reaches them.
 
-    Returns None per criterion that could not be computed; a failure ahead
-    of the criteria (degenerate indicators, pairwise estimation failure,
-    factoring non-convergence) blanks all four.
+    Returns None per criterion that could not be computed: a failure ahead
+    of the criteria (degenerate indicators, pairwise estimation failure)
+    blanks all four, and a parallel analysis that did not converge blanks
+    its own.
     """
-    blanks: dict[str, retention.RetentionDecision | None] = {c: None for c in CRITERIA}
     ind = _indicators_from_latent(cond, gen_rng)
-    if ind.dropped_columns or ind.k < 2:
-        return blanks
+    if ind.dropped_columns:
+        return dict.fromkeys(CRITERIA)
     try:
-        corr = correlation.pearson(ind) if cond.corr_kind == PEARSON else correlation.tetrachoric(ind)
+        corr = correlation.correlate(ind, cond.corr_kind)
     except (EstimationError, ValueError):
-        return blanks
-    corr = correlation.repair_pd(corr)
-    if cond.method == PCA:
-        spectrum = extraction.pca(corr).eigenvalues
-    else:
-        sol = extraction.paf(corr, cond.n_components)
-        if not sol.converged:
-            return blanks
-        spectrum = sol.eigenvalues
-    out = dict(blanks)
-    out[KAISER] = retention.kaiser(spectrum)
-    out[EKC] = retention.ekc(spectrum, cond.n, ind.k)
-    out[PROFILE_LIKELIHOOD] = retention.profile_likelihood(spectrum)
-    pa = retention.parallel_analysis(ind, spectrum, seed=pa_seed)
-    out[PARALLEL] = pa if pa.converged else None
+        return dict.fromkeys(CRITERIA)
+    out = retention.decide(ind, extraction.spectrum(corr, cond.method), pa_seed)
+    if not out[PARALLEL].converged:
+        out[PARALLEL] = None
     return out
 
 

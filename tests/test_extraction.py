@@ -11,9 +11,9 @@ from misscomp.extraction import (
     oriented_weights,
     paf,
     pca,
-    reduced_spectrum,
     scores,
     smc,
+    spectrum,
 )
 from test_correlation import indicator_matrix
 
@@ -128,12 +128,25 @@ class TestPaf:
 class TestReducedSpectrum:
     def test_differs_from_pca_spectrum(self):
         c = equicorrelation(5, 0.4)
-        reduced = reduced_spectrum(c)
-        full = pca(c).eigenvalues
+        reduced = spectrum(c, PAF)
+        full = spectrum(c, PCA)
         assert reduced.shape == full.shape
         # SMC diagonal < 1 shrinks the trace
         assert reduced.sum() < full.sum()
         assert np.all(np.diff(reduced) <= 1e-12)
+
+    def test_pca_spectrum_is_pca_eigenvalues(self):
+        c = corr([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        assert spectrum(c, PCA).tobytes() == pca(c).eigenvalues.tobytes()
+
+    def test_equicorrelation_closed_form(self):
+        # SMC of an equicorrelation matrix is 1 - 1/[R^-1]_jj, and the SMC
+        # diagonal shifts its spectrum to h + (k-1)rho once and h - rho
+        k, rho = 5, 0.4
+        inv_diag = (1 + (k - 2) * rho) / ((1 - rho) * (1 + (k - 1) * rho))
+        h = 1.0 - 1.0 / inv_diag
+        want = [h + (k - 1) * rho] + [h - rho] * (k - 1)
+        np.testing.assert_allclose(spectrum(equicorrelation(k, rho), PAF), want, atol=1e-12)
 
 
 class TestScores:

@@ -4,6 +4,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misscomp import mechanism
 from misscomp.mechanism import (
     CHI_SQUARE,
     WELCH_T,
@@ -31,6 +32,17 @@ def pairwise_auc(scores, labels):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def greedy_rank_columns(x):
+    """Oracle: keep a column when matrix_rank grows with it, left to right."""
+    kept, rank = [], 0
+    for j in range(x.shape[1]):
+        r = np.linalg.matrix_rank(x[:, kept + [j]])
+        if r > rank:
+            kept.append(j)
+            rank = r
+    return kept
 
 
 class TestScreen:
@@ -222,6 +234,28 @@ class TestFitLogistic:
         assert fit.aliased == ["x2"]
         assert fit.parameter_names == ["intercept", "x1", "x3"]
         assert len(fit.coefficients) == 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rank_pass_matches_greedy_matrix_rank(self, seed):
+        # an intercept, 0/1 and continuous columns, a constant column
+        # aliased with the intercept, a zero column, a duplicate and a
+        # column equal to the sum of two earlier ones
+        rng = np.random.default_rng(seed)
+        n = 200
+        ones = np.ones(n)
+        a = (rng.random(n) < 0.3).astype(float)
+        b = (rng.random(n) < 0.6).astype(float)
+        c = rng.normal(size=n) * 1e3
+        cols = [ones, a, 3.0 * ones, b, np.zeros(n), a + b, c, b.copy(), rng.normal(size=n)]
+        order = np.r_[0, 1 + rng.permutation(len(cols) - 1)]
+        x = np.column_stack([cols[j] for j in order])
+        kept = mechanism._independent_columns(x)
+        assert kept == greedy_rank_columns(x)
+        assert len(kept) == 5
+
+    def test_rank_pass_keeps_full_rank_indicator_design(self, rng):
+        x = np.column_stack([np.ones(500), (rng.random((500, 30)) < 0.2).astype(float)])
+        assert mechanism._independent_columns(x) == greedy_rank_columns(x) == list(range(31))
 
     def test_classification_at_half(self, rng):
         n = 500

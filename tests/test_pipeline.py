@@ -103,6 +103,13 @@ class TestIngest:
         assert data.kind("a") == "numeric"
         assert np.isnan(data.column("a")[9])
 
+    def test_coerced_token_is_counted(self, tmp_path):
+        cells = [[str(i), "x"] for i in range(18)] + [["abc", "y"], ["NA", "z"]]
+        data = ingest(write_csv(tmp_path / "d.csv", ["a", "b"], cells))
+        assert data.kind("a") == "numeric" and np.isnan(data.column("a")[18])
+        # the sentinel is missing by declaration, not by coercion
+        assert data.coerced == {"a": 1}
+
     def test_numeric_threshold_missed(self, tmp_path):
         cells = [[str(i)] for i in range(8)] + [["junk"], ["junk"]]
         data = ingest(write_csv(tmp_path / "d.csv", ["a"], cells))
@@ -376,6 +383,16 @@ class TestBundle:
         assert manifest["correlation"]["kind"] == "pearson"
         assert isinstance(manifest["separated_fits"], list)
         assert manifest["loading_bold_threshold"] == 0.550
+
+    def test_manifest_counts_coerced_cells(self, synthetic_csv, tmp_path):
+        lines = synthetic_csv.read_text().splitlines()
+        lines[5] = "abc" + lines[5][lines[5].index(","):]
+        path = tmp_path / "coerced.csv"
+        path.write_text("\n".join(lines) + "\n")
+        config = RunConfig(input_path=path, output_dir=tmp_path / "out", seed=123)
+        write_bundle(analyze(config))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["data"]["coerced_cells"] == {"item1": 1}
 
     def test_build_manifest_matches_written(self, full_result, tmp_path):
         files = write_bundle(full_result, tmp_path)

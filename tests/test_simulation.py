@@ -1,9 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from misscomp import simulation
 from misscomp.correlation import PEARSON, TETRACHORIC
 from misscomp.extraction import PAF, PCA
+from misscomp.pipeline import RunConfig, analyze
 from misscomp.retention import CRITERIA, EKC, KAISER, PARALLEL, PROFILE_LIKELIHOOD
 from misscomp.simulation import (
     BETWEEN_CORR,
@@ -119,12 +123,53 @@ class TestRunCondition:
 
 
     def test_tetrachoric_paf_decisions_pinned(self):
-        # decisions recorded under the per-pair likelihood optimiser; the
-        # root-find must reproduce them replication for replication
+        # the criteria read the SMC-reduced spectrum here; the PAF spectrum
+        # at the planted count gave these same counts
         cond = SimCondition(3, 5, 250, 0.25, TETRACHORIC, PAF)
         cell = run_condition(cond, reps=15, seed=11)
         assert cell.converged == {c: 15 for c in CRITERIA}
         assert cell.correct == {KAISER: 15, EKC: 15, PARALLEL: 15, PROFILE_LIKELIHOOD: 2}
+
+    def test_pearson_paf_decisions_pinned(self):
+        # recorded on the SMC-reduced spectrum; the PAF spectrum at the
+        # planted count gave parallel 18 and profile likelihood 17
+        cond = SimCondition(3, 5, 1000, 0.1, PEARSON, PAF)
+        cell = run_condition(cond, reps=20, seed=5)
+        assert cell.converged == {c: 20 for c in CRITERIA}
+        assert cell.correct == {KAISER: 20, EKC: 20, PARALLEL: 14, PROFILE_LIKELIHOOD: 16}
+
+
+@pytest.mark.parametrize(
+    "cond, seed, rep",
+    [
+        (SimCondition(3, 5, 1000, 0.1, PEARSON, PAF), 5, 10),
+        (SimCondition(3, 5, 250, 0.25, TETRACHORIC, PAF), 11, 5),
+    ],
+)
+def test_analyze_reaches_the_replication_decisions(cond, seed, rep, tmp_path):
+    # one replication, streams spawned as run_condition spawns them, written
+    # out as missing cells and analyzed with its parallel-analysis seed
+    gen_ss, pa_ss = np.random.SeedSequence((seed, *cond.key(), rep)).spawn(2)
+    pa_seed = int(pa_ss.generate_state(1, np.uint64)[0])
+    ind = simulation._indicators_from_latent(cond, np.random.default_rng(gen_ss))
+    want = simulation._replication_decisions(cond, np.random.default_rng(gen_ss), pa_seed)
+    path = tmp_path / "replication.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(ind.source_columns)
+        w.writerows([["" if v else "1" for v in row] for row in ind.values])
+    result = analyze(
+        RunConfig(
+            input_path=path,
+            output_dir=tmp_path,
+            seed=pa_seed,
+            correlation_kind=cond.corr_kind,
+            extraction_method=cond.method,
+        )
+    )
+    np.testing.assert_array_equal(result.ind.values, ind.values)
+    got = {c: d.k_retained for c, d in result.decisions.items()}
+    assert got == {c: d.k_retained for c, d in want.items()}
 
 class TestRunGrid:
     def test_worker_count_invariance(self):
