@@ -15,8 +15,8 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# cap, in entries, on each scratch array of a co-occurrence count and of a
-# block of permutation-null replications
+# scratch cap: entries per float32 chunk of a co-occurrence count, and bytes
+# per block of float64 permuted copies in the permutation null
 SCRATCH_ENTRIES = 1 << 20
 # float32 holds every integer up to 2**24 exactly, so a count summed over at
 # most this many rows is exact

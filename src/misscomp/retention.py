@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicators import SCRATCH_ENTRIES, IndicatorMatrix, cooccurrence
+from .indicators import SCRATCH_ENTRIES, IndicatorMatrix
 
 KAISER = "kaiser"
 EKC = "ekc"
@@ -17,7 +17,6 @@ CRITERIA = (KAISER, EKC, PARALLEL, PROFILE_LIKELIHOOD)
 
 PA_REPS = 100
 PA_PERCENTILE = 0.95
-PA_MAX_DROP_FRACTION = 0.10
 PL_VARIANCE_FLOOR = 1e-12
 
 
@@ -78,26 +77,29 @@ def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
     is scheduled. Permuting a column keeps its count of ones m, so every
     replication's Pearson matrix follows from its exact co-occurrence
     counts C alone: r = (n C - m mᵀ) / (s sᵀ) with s = sqrt(n m - m²).
-    Replications run in blocks of permuted uint8 copies; a block holds one
-    copy (n·k bytes) or as many as fit in ``SCRATCH_ENTRIES`` bytes, and its
-    float scratch is capped at ``SCRATCH_ENTRIES`` entries per array, so
-    memory does not grow with reps; the output is reps·k floats.
+    The indicators are shuffled as a (k, n) float64 copy, one row per
+    column: numpy's shuffle has a fast path for 8-byte items, and it draws
+    the same stream for any item size or layout. C = P Pᵀ in float64 is
+    exact, since its entries are integers up to n. Replications run in
+    blocks of one copy (8·n·k bytes) or as many as fit in
+    ``SCRATCH_ENTRIES`` bytes, so memory does not grow with reps; the
+    output is reps·k floats.
     """
     n, k = ind.values.shape
     streams = np.random.SeedSequence(seed).spawn(reps)
-    base = ind.values
-    m = base.sum(axis=0, dtype=np.float64)
+    base = np.ascontiguousarray(ind.values.T, dtype=np.float64)
+    m = base.sum(axis=1)
     s = np.sqrt(n * m - m * m)
     mm = np.outer(m, m)
     ss = np.outer(s, s)
     out = np.empty((reps, k))
-    batch = max(1, SCRATCH_ENTRIES // max(n * k, k * k))
+    batch = max(1, SCRATCH_ENTRIES // max(8 * n * k, k * k))
     for start in range(0, reps, batch):
         stop = min(start + batch, reps)
-        perm = np.empty((stop - start, n, k), dtype=np.uint8)
+        perm = np.empty((stop - start, k, n))
         for i, r in enumerate(range(start, stop)):
-            np.random.default_rng(streams[r]).permuted(base, axis=0, out=perm[i])
-        corr = cooccurrence(perm)
+            np.random.default_rng(streams[r]).permuted(base, axis=1, out=perm[i])
+        corr = perm @ perm.swapaxes(-1, -2)
         corr *= n
         corr -= mm
         corr /= ss
@@ -127,14 +129,8 @@ def parallel_analysis(
     if not 0.0 < percentile < 1.0:
         raise ValueError("percentile must be in (0, 1)")
     spectra = _permutation_null(ind, reps, seed)
-    ok = np.isfinite(spectra).all(axis=1)
-    dropped = int(len(ok) - ok.sum())
-    converged = dropped <= PA_MAX_DROP_FRACTION * reps
-    kept = spectra[ok]
-    if kept.shape[0] == 0:
-        return RetentionDecision(PARALLEL, 0, diagnostics=None, converged=False)
-    refs = np.quantile(kept, percentile, axis=0, method="linear")
-    return RetentionDecision(PARALLEL, _leading_run(e, refs), diagnostics=refs, converged=converged)
+    refs = np.quantile(spectra, percentile, axis=0, method="linear")
+    return RetentionDecision(PARALLEL, _leading_run(e, refs), diagnostics=refs)
 
 
 def profile_loglik_curve(eigenvalues: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import correlation, extraction, retention
 from .correlation import PEARSON, TETRACHORIC, EstimationError
 from .extraction import PAF, PCA
 from .indicators import IndicatorMatrix
-from .retention import CRITERIA, PARALLEL
+from .retention import CRITERIA
 
 WITHIN_CORR = 0.7
 BETWEEN_CORR = 0.3
@@ -159,10 +159,9 @@ def _replication_decisions(
 ) -> dict[str, retention.RetentionDecision | None]:
     """All four retention decisions for one replication, reached as ``analyze`` reaches them.
 
-    Returns None per criterion that could not be computed: a failure ahead
-    of the criteria (degenerate indicators, pairwise estimation failure)
-    blanks all four, and a parallel analysis that did not converge blanks
-    its own.
+    Returns None for all four criteria when a failure ahead of them
+    (degenerate indicators, pairwise estimation failure) leaves nothing to
+    decide on.
     """
     ind = _indicators_from_latent(cond, gen_rng)
     if ind.dropped_columns:
@@ -171,10 +170,7 @@ def _replication_decisions(
         corr = correlation.correlate(ind, cond.corr_kind)
     except (EstimationError, ValueError):
         return dict.fromkeys(CRITERIA)
-    out = retention.decide(ind, extraction.spectrum(corr, cond.method), pa_seed)
-    if not out[PARALLEL].converged:
-        out[PARALLEL] = None
-    return out
+    return retention.decide(ind, extraction.spectrum(corr, cond.method), pa_seed)
 
 
 def run_condition(cond: SimCondition, reps: int, seed: int) -> CellResult:
@@ -214,7 +210,9 @@ def run_grid(conditions: list[SimCondition], reps: int, seed: int, workers: int 
 
     Per-replication seeding makes each cell's numbers independent of the
     worker count, and results are reduced in condition order, so reports
-    are identical for any workers value.
+    are identical for any workers value. Across workers the costliest
+    cells (largest n·k, as every cell runs the same reps) start first, so
+    no long cell is left to run alone at the end.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -222,8 +220,10 @@ def run_grid(conditions: list[SimCondition], reps: int, seed: int, workers: int 
     if workers == 1 or len(conditions) == 1:
         cells = [_run_cell(a) for a in args]
     else:
+        order = sorted(range(len(args)), key=lambda i: -conditions[i].n * conditions[i].k)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, args))
+            futures = {i: pool.submit(_run_cell, args[i]) for i in order}
+            cells = [futures[i].result() for i in range(len(args))]
     return SimReport(cells=cells, reps=reps, seed=seed)
 
 

@@ -228,6 +228,26 @@ def reference_null(ind, reps, seed):
     return out
 
 
+def frozen_stream_null(ind, reps, seed):
+    """Stream oracle: the null from a row-major uint8 shuffle and float32 counts.
+
+    It shuffles with ``permuted(axis=0)`` and counts co-occurrences in
+    float32, the layout, item size and precision ``_permutation_null`` does
+    not use, so bit-for-bit equality shows that the draws and the rounding
+    depend on none of them.
+    """
+    n = ind.n
+    streams = np.random.SeedSequence(seed).spawn(reps)
+    m = ind.values.sum(axis=0, dtype=np.float64)
+    s = np.sqrt(n * m - m * m)
+    out = np.empty((reps, ind.k))
+    for r in range(reps):
+        perm = np.random.default_rng(streams[r]).permuted(ind.values, axis=0)
+        corr = (indicators.cooccurrence(perm) * n - np.outer(m, m)) / np.outer(s, s)
+        out[r] = np.linalg.eigvalsh(corr)[::-1]
+    return out
+
+
 class TestPermutationNull:
     def _indicators(self, rng, n, k):
         values = (rng.random((n, k)) < rng.uniform(0.05, 0.6, size=k)).astype(np.uint8)
@@ -245,10 +265,18 @@ class TestPermutationNull:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("n,k,reps", [(400, 2, 25), (1000, 100, 3), (20000, 30, 2)])
+    def test_keeps_the_stream_bit_for_bit(self, rng, n, k, reps):
+        ind = self._indicators(rng, n, k)
+        np.testing.assert_array_equal(
+            retention._permutation_null(ind, reps, seed=8),
+            frozen_stream_null(ind, reps, seed=8),
+        )
+
     @pytest.mark.parametrize("cap", [50, 20_000])
     def test_small_caps_split_rows_and_blocks(self, rng, monkeypatch, cap):
-        # 50 entries: one replication per block, each count summed over 167
-        # row chunks; 20000: six blocks of two replications each
+        # both caps are under one 64000-byte float64 copy of the 1000x8
+        # indicators, so the twelve replications run in twelve blocks
         ind = self._indicators(rng, 1000, 8)
         monkeypatch.setattr(indicators, "SCRATCH_ENTRIES", cap)
         monkeypatch.setattr(retention, "SCRATCH_ENTRIES", cap)
@@ -258,6 +286,23 @@ class TestPermutationNull:
             rtol=0,
             atol=1e-10,
         )
+
+    def test_extreme_marginals_give_a_finite_null(self):
+        # a column with a single one and a column with a single zero: the
+        # smallest and largest counts an indicator column may hold
+        n = 60
+        values = np.zeros((n, 3), dtype=np.uint8)
+        values[7, 0] = 1
+        values[:, 1] = 1
+        values[30, 1] = 0
+        values[::3, 2] = 1
+        ind = indicator_matrix(values)
+        assert ind.values.sum(axis=0).tolist() == [1, n - 1, n // 3]
+        assert np.isfinite(retention._permutation_null(ind, 25, seed=2)).all()
+        e = np.array([1.2, 1.0, 0.8])
+        decision = parallel_analysis(ind, e, reps=25, seed=2)
+        assert decision.converged
+        assert np.isfinite(decision.diagnostics).all()
 
     def test_scratch_does_not_grow_with_reps(self, rng):
         # a float64 block of all 100 permuted copies would be 80 MB
