@@ -15,9 +15,9 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# scratch cap: entries per float32 chunk of a co-occurrence count, and bytes
-# per block of float64 permuted copies in the permutation null
-SCRATCH_ENTRIES = 1 << 20
+# cap, in entries, on each scratch array of a co-occurrence count and of a
+# block of permutation-null replications (1 MB of float64 null copies)
+SCRATCH_ENTRIES = 1 << 17
 # float32 holds every integer up to 2**24 exactly, so a count summed over at
 # most this many rows is exact
 _FLOAT32_EXACT_ROWS = 1 << 24

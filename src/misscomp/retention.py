@@ -77,26 +77,28 @@ def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
     is scheduled. Permuting a column keeps its count of ones m, so every
     replication's Pearson matrix follows from its exact co-occurrence
     counts C alone: r = (n C - m mᵀ) / (s sᵀ) with s = sqrt(n m - m²).
-    The indicators are shuffled as a (k, n) float64 copy, one row per
-    column: numpy's shuffle has a fast path for 8-byte items, and it draws
-    the same stream for any item size or layout. C = P Pᵀ in float64 is
-    exact, since its entries are integers up to n. Replications run in
-    blocks of one copy (8·n·k bytes) or as many as fit in
-    ``SCRATCH_ENTRIES`` bytes, so memory does not grow with reps; the
-    output is reps·k floats.
+    Each replication shuffles a float64 (k, n) copy of the indicators, one
+    row per column, cast from a C-ordered uint8 (k, n) base: numpy's
+    shuffle has a fast path for 8-byte items, and it draws the same stream
+    for any item size or layout. C = P Pᵀ in float64 is exact, since its
+    entries are integers up to n. One block, reused, holds one copy or as
+    many as fit in ``SCRATCH_ENTRIES`` entries, so besides the n·k byte
+    base the scratch is at most max(8·n·k, 8·SCRATCH_ENTRIES) bytes
+    however many reps run; the output is reps·k floats.
     """
     n, k = ind.values.shape
     streams = np.random.SeedSequence(seed).spawn(reps)
-    base = np.ascontiguousarray(ind.values.T, dtype=np.float64)
-    m = base.sum(axis=1)
+    base = np.ascontiguousarray(ind.values.T)
+    m = base.sum(axis=1, dtype=np.float64)
     s = np.sqrt(n * m - m * m)
     mm = np.outer(m, m)
     ss = np.outer(s, s)
     out = np.empty((reps, k))
-    batch = max(1, SCRATCH_ENTRIES // max(8 * n * k, k * k))
+    batch = min(reps, max(1, SCRATCH_ENTRIES // max(n * k, k * k)))
+    block = np.empty((batch, k, n))
     for start in range(0, reps, batch):
         stop = min(start + batch, reps)
-        perm = np.empty((stop - start, k, n))
+        perm = block[: stop - start]
         for i, r in enumerate(range(start, stop)):
             np.random.default_rng(streams[r]).permuted(base, axis=1, out=perm[i])
         corr = perm @ perm.swapaxes(-1, -2)

@@ -210,9 +210,7 @@ def run_grid(conditions: list[SimCondition], reps: int, seed: int, workers: int 
 
     Per-replication seeding makes each cell's numbers independent of the
     worker count, and results are reduced in condition order, so reports
-    are identical for any workers value. Across workers the costliest
-    cells (largest n·k, as every cell runs the same reps) start first, so
-    no long cell is left to run alone at the end.
+    are identical for any workers value.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -220,10 +218,8 @@ def run_grid(conditions: list[SimCondition], reps: int, seed: int, workers: int 
     if workers == 1 or len(conditions) == 1:
         cells = [_run_cell(a) for a in args]
     else:
-        order = sorted(range(len(args)), key=lambda i: -conditions[i].n * conditions[i].k)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_run_cell, args[i]) for i in order}
-            cells = [futures[i].result() for i in range(len(args))]
+            cells = list(pool.map(_run_cell, args))
     return SimReport(cells=cells, reps=reps, seed=seed)
 
 

@@ -275,8 +275,8 @@ class TestPermutationNull:
 
     @pytest.mark.parametrize("cap", [50, 20_000])
     def test_small_caps_split_rows_and_blocks(self, rng, monkeypatch, cap):
-        # both caps are under one 64000-byte float64 copy of the 1000x8
-        # indicators, so the twelve replications run in twelve blocks
+        # 50 entries: one replication per block; 20000: six blocks of two
+        # replications each
         ind = self._indicators(rng, 1000, 8)
         monkeypatch.setattr(indicators, "SCRATCH_ENTRIES", cap)
         monkeypatch.setattr(retention, "SCRATCH_ENTRIES", cap)

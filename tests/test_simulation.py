@@ -186,19 +186,6 @@ class TestRunGrid:
             assert a.correct == b.correct
         assert serial.aggregate() == parallel.aggregate()
 
-    def test_cost_ordered_schedule_reduces_in_condition_order(self):
-        # cheapest first: the pool starts these in reverse, yet the report
-        # must list them as given
-        conds = [
-            SimCondition(1, 3, 100, 0.25),
-            SimCondition(1, 5, 200, 0.25),
-            SimCondition(2, 5, 400, 0.25),
-        ]
-        serial = run_grid(conds, reps=3, seed=4, workers=1)
-        parallel = run_grid(conds, reps=3, seed=4, workers=2)
-        assert [cell.condition for cell in parallel.cells] == conds
-        assert parallel == serial
-
     def test_single_condition_aggregate_is_cell_proportion(self):
         report = run_grid([SimCondition(1, 5, 500, 0.25)], reps=6, seed=1)
         agg = report.aggregate()
