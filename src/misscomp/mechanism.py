@@ -99,6 +99,22 @@ def _chi_square(
     return stat, df, _chi2_sf(stat, df), counts
 
 
+def _binary(values, what: str) -> np.ndarray:
+    """``values`` as ints, once every one of them is checked to be 0 or 1."""
+    values = np.asarray(values)
+    if not np.isin(values, (0, 1)).all():
+        raise ValueError(f"{what} must be binary")
+    return values.astype(int)
+
+
+def _counts(weights, n: int) -> np.ndarray:
+    """Frequency weights as floats, checked to be n non-negative whole counts."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,) or not (np.isfinite(w) & (w >= 0) & (w == np.floor(w))).all():
+        raise ValueError("weights must be one non-negative whole count per row")
+    return w
+
+
 def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> list[ScreenResult]:
     """Compare each variable across the two component-flag groups.
 
@@ -107,11 +123,10 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
     Missing cells drop out pairwise; a group with fewer than two observed
     values makes the variable not testable (flagged, never raised).
     """
-    flag = np.asarray(component_flag).astype(int)
+    flag = np.asarray(component_flag)
     if flag.ndim != 1 or len(flag) != data.n:
         raise ValueError("component_flag must align with dataset rows")
-    if not np.isin(flag, (0, 1)).all():
-        raise ValueError("component_flag must be binary")
+    flag = _binary(flag, "component_flag")
     results = []
     for name in variables:
         kind = data.kind(name)
@@ -174,46 +189,40 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
     return results
 
 
-def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve by the rank (Mann-Whitney) formula.
+def roc_auc(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """Area under the ROC curve by the Mann-Whitney count.
 
-    Ties get midranks, so exactly half credit. Raises when only one class
-    is present, where the area is undefined.
+    Over the distinct scores, each positive counts the negatives below it
+    and half the negatives tied with it; every term is a whole or half
+    count, so the sum is exact. ``weights`` are frequency weights: row i
+    stands for weights[i] identical rows. Raises when only one class is
+    present, where the area is undefined.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels).astype(int)
+    y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be 1-d and aligned")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be binary")
-    n1 = int(y.sum())
-    n0 = len(y) - n1
+    y = _binary(y, "labels")
+    w = np.ones(len(y)) if weights is None else _counts(weights, len(y))
+    distinct, group = np.unique(s, return_inverse=True)
+    pos = np.bincount(group, weights=w * y, minlength=len(distinct))
+    neg = np.bincount(group, weights=w * (1 - y), minlength=len(distinct))
+    n1, n0 = pos.sum(), neg.sum()
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC undefined: only one class present")
-    ranks = _midranks(s)
-    u = ranks[y == 1].sum() - n1 * (n1 + 1) / 2.0
+    u = pos @ (np.cumsum(neg) - neg / 2.0)
     return float(u / (n1 * n0))
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x`` with each run of ties given its average rank."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], len(x)]
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
-
-
-def _independent_columns(x: np.ndarray) -> list[int]:
+def _independent_columns(x: np.ndarray, weights: np.ndarray | None = None) -> list[int]:
     """Left to right, the columns of ``x`` that add rank over those kept before.
 
-    One pass over xᵀx scaled to unit diagonal: eliminating each kept column
-    leaves on the diagonal each later column's squared sine to the kept
-    span, and at most RANK_TOL (an all-zero column too) means aliased.
+    One pass over xᵀWx (W the frequency weights, or the identity) scaled to
+    unit diagonal: eliminating each kept column leaves on the diagonal each
+    later column's squared sine to the kept span, and at most RANK_TOL (an
+    all-zero column too) means aliased.
     """
-    gram = x.T @ x
+    gram = x.T @ x if weights is None else x.T @ (x * weights[:, None])
     d = np.sqrt(np.diag(gram))
     d[d == 0.0] = 1.0
     a = gram / np.outer(d, d)
@@ -226,20 +235,37 @@ def _independent_columns(x: np.ndarray) -> list[int]:
 
 
 def fit_logistic(
-    y: np.ndarray, x: np.ndarray, predictor_names: list[str] | None = None
+    y: np.ndarray,
+    x: np.ndarray,
+    predictor_names: list[str] | None = None,
+    weights: np.ndarray | None = None,
 ) -> LogisticFit:
     """Binary logistic regression by iteratively reweighted least squares.
 
     Newton steps run until the largest score component falls below 1e-8 or
-    100 iterations pass. Complete or quasi-complete separation is detected
-    from degenerate fitted probabilities or runaway standardized
-    coefficients; the fit then reports the last iterate with standard
-    errors suppressed while classification metrics stay available.
+    100 iterations pass. ``weights`` are frequency weights (row i stands for
+    weights[i] identical rows; rows of count zero drop out, and ``n`` is the
+    total count), so a fit on a table's distinct rows equals the fit on the
+    rows it counts.
+
+    An iterate that fits every y = 1 row above one half and every y = 0 row
+    below it certifies complete separation (its linear predictor splits the
+    classes strictly), so no finite maximum exists: the fit stops there with
+    that iterate's coefficients, a separating direction at an arbitrary
+    scale, log-likelihood 0 (the supremum) and ``converged`` False.
+    Quasi-complete separation has no such certificate; it is detected after
+    the fit from a row fitted to its own label or runaway standardized
+    coefficients. Separated fits suppress their standard errors;
+    classification metrics stay available.
     """
     y = np.asarray(y).astype(np.float64)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] != len(y):
         raise ValueError("y and x must have the same number of rows")
+    if weights is not None:
+        weights = _counts(weights, len(y))
+        present = weights > 0
+        y, x, weights = y[present], x[present], weights[present]
     if not np.isfinite(x).all():
         raise ValueError("predictors must be finite")
     if not np.isin(y, (0.0, 1.0)).all():
@@ -253,26 +279,32 @@ def fit_logistic(
 
     design = np.column_stack([np.ones(len(y)), x])
     names = ["intercept"] + list(predictor_names)
-    kept = _independent_columns(design)
+    kept = _independent_columns(design, weights)
     aliased = [name for j, name in enumerate(names) if j not in kept]
     if aliased:
         design, names = design[:, kept], [names[j] for j in kept]
 
+    # per-row counts; unweighted rows count 1, which leaves every product exact
+    fw = np.ones(len(y)) if weights is None else weights
+    n = fw.sum()
+    actual = y == 1.0
     # predictor scale for the runaway-coefficient separation check
-    sds = design.std(axis=0)
+    sds = design.std(axis=0) if weights is None else np.sqrt(fw @ (design - fw @ design / n) ** 2 / n)
     sds[0] = 1.0
 
     beta = np.zeros(design.shape[1])
-    converged = False
-    singular = False
+    converged = certified = singular = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = special.expit(design @ beta)
-        g = design.T @ (y - mu)
+        if np.where(actual, mu > 0.5, mu < 0.5).all():
+            certified = True
+            break
+        g = design.T @ (fw * (y - mu))
         if np.max(np.abs(g)) < IRLS_TOL:
             converged = True
             break
-        w = mu * (1.0 - mu)
+        w = fw * mu * (1.0 - mu)
         hess = design.T @ (design * w[:, None])
         try:
             step = np.linalg.solve(hess, g)
@@ -283,17 +315,20 @@ def fit_logistic(
         beta = beta + step
 
     mu = special.expit(design @ beta)
-    # post-fit separation detection: a fully saturated class or runaway
-    # coefficients on the standardized predictor scale
-    ones_done = bool((mu[y == 1.0] > 1.0 - SEPARATION_PROB_TOL).all())
-    zeros_done = bool((mu[y == 0.0] < SEPARATION_PROB_TOL).all())
-    separated = singular or ones_done or zeros_done or bool(
+    # post-fit detection of quasi-complete separation: a row fitted to its
+    # own label within SEPARATION_PROB_TOL (the score test passes once the
+    # rows a separating direction splits off saturate, while the
+    # coefficients still drift), or runaway standardized coefficients
+    saturated = bool((np.where(actual, 1.0 - mu, mu) < SEPARATION_PROB_TOL).any())
+    separated = certified or singular or saturated or bool(
         np.max(np.abs(beta * sds)) > SEPARATION_COEF_BOUND
     )
     tiny = 1e-300
-    ll = float(np.sum(y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny))))
-    pbar = y.mean()
-    ll0 = float(len(y) * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
+    ll = 0.0 if certified else float(
+        np.sum(fw * (y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny))))
+    )
+    pbar = np.sum(fw * y) / n
+    ll0 = float(n * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
     lr = 2.0 * (ll - ll0)
     df = design.shape[1] - 1
     lr_p = _chi2_sf(lr, df) if df > 0 else np.nan
@@ -301,7 +336,7 @@ def fit_logistic(
     if separated:
         ses = None
     else:
-        w = mu * (1.0 - mu)
+        w = fw * mu * (1.0 - mu)
         hess = design.T @ (design * w[:, None])
         try:
             ses = np.sqrt(np.diag(np.linalg.inv(hess)))
@@ -309,12 +344,11 @@ def fit_logistic(
             ses = None
 
     predicted = mu > 0.5
-    actual = y == 1.0
-    n1 = int(actual.sum())
-    n0 = len(y) - n1
-    sens = float((predicted & actual).sum() / n1)
-    spec = float((~predicted & ~actual).sum() / n0)
-    correct = (sens * n1 + spec * n0) / len(y)
+    n1 = fw[actual].sum()
+    n0 = n - n1
+    sens = float(fw[predicted & actual].sum() / n1)
+    spec = float(fw[~predicted & ~actual].sum() / n0)
+    correct = (sens * n1 + spec * n0) / n
     return LogisticFit(
         parameter_names=names,
         coefficients=beta,
@@ -325,7 +359,7 @@ def fit_logistic(
         lr_df=df,
         lr_p_value=lr_p,
         pseudo_r2=1.0 - ll / ll0,
-        auc=roc_auc(mu, y.astype(int)),
+        auc=roc_auc(mu, y, weights),
         sensitivity=sens,
         specificity=spec,
         correct_pct=correct,
@@ -333,7 +367,7 @@ def fit_logistic(
         converged=converged,
         iterations=iterations,
         aliased=aliased,
-        n=len(y),
+        n=int(n),
     )
 
 
@@ -362,7 +396,7 @@ def stratified_rerun(
     Strata are named and ordered by ``Dataset.codes``, so a numeric strata
     column gives levels such as "10.0" and "2.0", in that order.
     """
-    flag = np.asarray(component_flag).astype(int)
+    flag = _binary(component_flag, "component_flag")
     codes, names = data.codes(strata)
     seen = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
     if len(seen) < 2:

@@ -321,11 +321,18 @@ def analyze(config: RunConfig) -> AnalysisResult:
     if covariates and testable:
         cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])[usable]
         keep = np.isfinite(cov).all(axis=1)
+    # a fit on one 0/1 indicator depends only on its 2x2 table against the
+    # flag, so it runs on the table's four cells weighted by their counts
+    cell_x = np.array([[1.0], [1.0], [0.0], [0.0]])
+    cell_y = np.array([1, 0, 1, 0])
+    n_ones = x_ind.sum(axis=0)
     for label, flag in testable:
-        for m, ind_name in enumerate(indicator_names):
-            logistic_rows.append(
-                (label, "", f"simple:{ind_name}", mechanism.fit_logistic(flag, x_ind[:, [m]], [ind_name]))
-            )
+        both = flag @ x_ind
+        n_high = flag.sum()
+        tables = np.column_stack([both, n_ones - both, n_high - both, len(flag) - n_ones - n_high + both])
+        for ind_name, counts in zip(indicator_names, tables):
+            fit = mechanism.fit_logistic(cell_y, cell_x, [ind_name], weights=counts)
+            logistic_rows.append((label, "", f"simple:{ind_name}", fit))
         logistic_rows.append(
             (label, "", "multiple", mechanism.fit_logistic(flag, x_ind, indicator_names))
         )

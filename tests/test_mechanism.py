@@ -116,6 +116,12 @@ class TestScreen:
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
+    def test_fractional_flag_rejected(self):
+        # a cast before the check would truncate this to a 3/3 split
+        data = dataset_from_arrays({"a": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]})
+        with pytest.raises(ValueError, match="binary"):
+            screen(data, np.array([0.2, 0.7, 0.9, 1, 1, 1.5]), ["a"])
+
     def test_bad_flag_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             screen(small_dataset, np.array([0, 1]), ["y1"])
@@ -145,6 +151,136 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_auc(np.array([1.0, 2.0]), np.array([1, 1]))
+
+
+class TestRocAucCounts:
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(ValueError, match="binary"):
+            roc_auc(np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.2, 1, 1]))
+
+    def test_weighted_equals_expanded_rows(self, rng):
+        for _ in range(50):
+            m = int(rng.integers(2, 12))
+            scores = rng.normal(size=m).round(1)  # force ties
+            labels = rng.integers(0, 2, size=m)
+            labels[0], labels[1] = 0, 1
+            counts = rng.integers(0, 30, size=m)
+            counts[:2] += 1
+            expanded = roc_auc(np.repeat(scores, counts), np.repeat(labels, counts))
+            assert roc_auc(scores, labels, counts) == expanded
+
+    def test_bad_weights_rejected(self):
+        s, y = np.array([0.1, 0.2, 0.3]), np.array([0, 1, 1])
+        for bad in ([1, 2], [1, -1, 2], [1, 0.5, 2], [1, np.nan, 2]):
+            with pytest.raises(ValueError):
+                roc_auc(s, y, np.array(bad, dtype=float))
+
+
+def expand(y, x, counts):
+    """The rows a frequency-weighted table stands for."""
+    return np.repeat(y, counts), np.repeat(x, counts, axis=0)
+
+
+def assert_same_fit(weighted, rows):
+    np.testing.assert_allclose(weighted.coefficients, rows.coefficients, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(weighted.standard_errors, rows.standard_errors, rtol=1e-9)
+    assert weighted.log_likelihood == pytest.approx(rows.log_likelihood, rel=1e-12)
+    assert weighted.null_log_likelihood == rows.null_log_likelihood
+    assert weighted.lr_df == rows.lr_df
+    assert (weighted.auc, weighted.sensitivity, weighted.specificity, weighted.correct_pct) == (
+        rows.auc, rows.sensitivity, rows.specificity, rows.correct_pct
+    )
+    assert (weighted.separated, weighted.converged, weighted.n) == (rows.separated, rows.converged, rows.n)
+
+
+class TestWeightedFit:
+    CELL_Y = np.array([1, 0, 1, 0])
+    CELL_X = np.array([[1.0], [1.0], [0.0], [0.0]])
+
+    def test_two_by_two_tables_match_expanded_rows(self, rng):
+        for _ in range(40):
+            counts = rng.integers(1, 400, size=4)
+            weighted = fit_logistic(self.CELL_Y, self.CELL_X, ["x"], weights=counts)
+            assert_same_fit(weighted, fit_logistic(*expand(self.CELL_Y, self.CELL_X, counts), ["x"]))
+            a, b, c, d = counts
+            assert weighted.coefficients[1] == pytest.approx(np.log(a * d / (b * c)), abs=1e-8)
+
+    def test_grouped_numeric_predictors_match_expanded_rows(self, rng):
+        x = np.column_stack([np.repeat([-1.5, 0.0, 0.5, 2.0, 3.7], 2), np.tile([0.0, 1.0], 5)])
+        x = np.vstack([x, x])
+        y = np.r_[np.zeros(10, dtype=int), np.ones(10, dtype=int)]
+        for _ in range(10):
+            counts = rng.integers(1, 60, size=len(y))
+            weighted = fit_logistic(y, x, ["u", "v"], weights=counts)
+            assert_same_fit(weighted, fit_logistic(*expand(y, x, counts), ["u", "v"]))
+
+    def test_zero_count_rows_drop_out_before_validation(self):
+        counts = np.array([20, 15, 10, 35, 0])
+        y = np.r_[self.CELL_Y, 1]
+        x = np.vstack([self.CELL_X, [[np.nan]]])
+        fit = fit_logistic(y, x, ["x"], weights=counts)
+        assert fit.n == 80
+        assert_same_fit(fit, fit_logistic(self.CELL_Y, self.CELL_X, ["x"], weights=counts[:4]))
+
+    def test_constant_column_of_the_present_rows_aliased(self):
+        # the x = 1 cells are empty, so x is zero on every counted row
+        fit = fit_logistic(self.CELL_Y, self.CELL_X, ["x"], weights=np.array([0, 0, 7, 9]))
+        assert fit.aliased == ["x"]
+        assert fit.parameter_names == ["intercept"]
+
+    def test_bad_weights_rejected(self):
+        for bad in ([1, 2, 3], [1, 2, 3, -4], [1, 2, 3, 4.5], [1, 2, np.inf, 4]):
+            with pytest.raises(ValueError):
+                fit_logistic(self.CELL_Y, self.CELL_X, ["x"], weights=np.array(bad, dtype=float))
+
+
+def first_separating_iterate(y, x):
+    """Oracle: plain Newton steps from zero, stopped at the first iterate
+    that puts every row strictly on its own side of one half."""
+    design = np.column_stack([np.ones(len(y)), x])
+    beta = np.zeros(design.shape[1])
+    for it in range(1, 101):
+        mu = 1.0 / (1.0 + np.exp(-design @ beta))
+        if ((mu > 0.5) == (y == 1)).all() and (mu != 0.5).all():
+            return it, beta
+        w = mu * (1.0 - mu)
+        beta = beta + np.linalg.solve(design.T @ (design * w[:, None]), design.T @ (y - mu))
+    raise AssertionError("no separating iterate")
+
+
+class TestSeparationCertificate:
+    def test_complete_separation_stops_at_first_separating_iterate(self, rng):
+        n = 200
+        x = rng.normal(size=(n, 3))
+        y = (x @ np.array([1.0, -2.0, 0.5]) > 0.3).astype(float)
+        fit = fit_logistic(y, x)
+        it, beta = first_separating_iterate(y, x)
+        assert fit.iterations == it
+        np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-9, atol=1e-12)
+        assert fit.separated and not fit.converged
+        assert fit.standard_errors is None
+        assert fit.log_likelihood == 0.0
+        assert fit.lr_chi2 == -2.0 * fit.null_log_likelihood
+        assert fit.pseudo_r2 == 1.0
+        assert (fit.auc, fit.sensitivity, fit.specificity, fit.correct_pct) == (1.0, 1.0, 1.0, 1.0)
+
+    def test_diagonal_table_certified(self):
+        fit = fit_logistic(TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X, ["x"], weights=[12, 0, 0, 30])
+        assert fit.separated and not fit.converged
+        assert fit.log_likelihood == 0.0
+        assert fit.n == 42
+
+    def test_one_empty_cell_not_certified_but_separated(self):
+        # quasi-complete: the x = 0 cells hold both classes at one fitted
+        # probability, so no iterate classifies every row
+        counts = np.array([25, 0, 10, 30])
+        fit = fit_logistic(TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X, ["x"], weights=counts)
+        assert fit.separated
+        assert fit.standard_errors is None
+        assert fit.log_likelihood < 0.0
+        assert fit.log_likelihood == pytest.approx(10 * np.log(10 / 40) + 30 * np.log(30 / 40), abs=1e-6)
+        rows = fit_logistic(*expand(TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X, counts), ["x"])
+        assert rows.separated and rows.log_likelihood < 0.0
 
 
 class TestFitLogistic:
@@ -307,6 +443,11 @@ class TestStratifiedRerun:
         flag = np.array([1, 0, 0, 1, 0, 1, 0])
         results = stratified_rerun(data, flag, "g", ["x"], [])
         assert {r.stratum: r.n for r in results} == {"a": 3, "b": 3}
+
+    def test_fractional_flag_rejected(self):
+        data = dataset_from_arrays({"x": [1.0, 2.0, 3.0, 4.0], "g": ["a", "a", "b", "b"]})
+        with pytest.raises(ValueError, match="binary"):
+            stratified_rerun(data, np.array([0.5, 1.0, 0.0, 1.5]), "g", ["x"], [])
 
     def test_unknown_stratum_column(self, small_dataset):
         with pytest.raises(KeyError):

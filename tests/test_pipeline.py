@@ -28,6 +28,7 @@ from misscomp.pipeline import (
     ingest,
     write_bundle,
 )
+from misscomp.mechanism import fit_logistic
 from misscomp.retention import CRITERIA
 
 
@@ -617,10 +618,16 @@ def golden_csv(tmp_path_factory):
 # categorical columns were still object arrays of strings. A CSV column of
 # "0"/"1" always ingests as numeric, so the stratum fits on the "0"/"1"
 # indicator columns are what cover the binary categorical predictor path.
+# logistic.csv was re-recorded when completely separated fits began to stop
+# at their separation certificate (only the coefficient, converged and
+# log_likelihood cells of the separated rows moved), and when a fit with a
+# row fitted to its own label became separated: simple:site_miss, whose
+# single x = 1 row sits in one cell of its 2x2 table, lost its standard
+# errors.
 GOLDEN_DIGESTS = {
     "loadings.csv": "4e439111979192ded9ef9ed4c2ff7df2c9af79f50e081ab690920a23ef714be2",
     "loadings.md": "04d120c61d2970c46bb9e8576f5d6452dead939b0b64bef95bcc73ea2b4874df",
-    "logistic.csv": "0d861f960bb31821b5363402366ddfa25a049d6e0a528b0479d3854118da66f5",
+    "logistic.csv": "9196985ae6d97374c4ec6835c64dc09d69acd57433b806ade6ed198c06990f74",
     "patterns.csv": "f105cf94e1098678cf5fa3e852190b5380939276619605386f0407dee0a7f772",
     "patterns.json": "54562e14ba8e1beccc05449b5cdd8de42b9e08fed59a411f6f7209a9a179fd9e",
     "patterns.md": "89615180fcf80d2dfa61e667d30e9133aae5421e007e5d87a88fb7073bf83704",
@@ -654,6 +661,28 @@ class TestGoldenBundle:
             if name != "manifest.json"
         }
         assert digests == GOLDEN_DIGESTS
+
+    def test_one_indicator_fits_match_fits_on_the_rows(self, golden_csv, tmp_path):
+        # analyze fits each indicator on its 2x2 table; the fit on the
+        # usable rows themselves must give the same model
+        result = analyze(self.config(golden_csv, tmp_path))
+        usable = ~result.scores.fully_missing
+        x = result.ind.values[usable].astype(float)
+        simple = [(c, m, f) for c, s, m, f in result.logistic_rows if not s and m.startswith("simple:")]
+        assert len(simple) == result.q * result.ind.k
+        for comp, model, fit in simple:
+            flag = result.scores.dichotomized[usable, int(comp.split("_")[1]) - 1].astype(int)
+            name = model.split(":", 1)[1]
+            rows = fit_logistic(flag, x[:, [result.ind.column_names.index(name)]], [name])
+            np.testing.assert_allclose(fit.coefficients, rows.coefficients, rtol=1e-9, atol=1e-12)
+            assert fit.separated == rows.separated
+            if not rows.separated:
+                np.testing.assert_allclose(fit.standard_errors, rows.standard_errors, rtol=1e-9)
+            assert fit.log_likelihood == pytest.approx(rows.log_likelihood, rel=1e-12)
+            assert fit.null_log_likelihood == rows.null_log_likelihood
+            assert (fit.auc, fit.sensitivity, fit.specificity, fit.n) == (
+                rows.auc, rows.sensitivity, rows.specificity, rows.n
+            )
 
     def test_non_binary_categorical_covariate_rejected(self, golden_csv, tmp_path):
         with pytest.raises(ValueError, match=r"^column 'grp' is categorical and not binary-coded$"):

@@ -274,11 +274,10 @@ class TestPermutationNull:
         )
 
     @pytest.mark.parametrize("cap", [50, 20_000])
-    def test_small_caps_split_rows_and_blocks(self, rng, monkeypatch, cap):
+    def test_small_caps_split_replications_into_blocks(self, rng, monkeypatch, cap):
         # 50 entries: one replication per block; 20000: six blocks of two
         # replications each
         ind = self._indicators(rng, 1000, 8)
-        monkeypatch.setattr(indicators, "SCRATCH_ENTRIES", cap)
         monkeypatch.setattr(retention, "SCRATCH_ENTRIES", cap)
         np.testing.assert_allclose(
             retention._permutation_null(ind, 12, seed=3),
