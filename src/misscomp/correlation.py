@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .indicators import IndicatorMatrix, cooccurrence
+from .indicators import IndicatorMatrix, cooccurrence, phi
 
 PEARSON = "pearson"
 TETRACHORIC = "tetrachoric"
@@ -151,14 +151,12 @@ def _bvn_density(h, k, rho):
 
 
 def pearson(ind: IndicatorMatrix) -> CorrelationMatrix:
-    """Pearson (phi) correlation of the indicator columns."""
-    x = ind.values.astype(np.float64)
-    z = x - x.mean(axis=0)
-    norms = np.sqrt((z * z).sum(axis=0))
-    if not (norms > 0).all():
-        raise ValueError("zero-variance indicator column")  # unreachable by construction
-    r = (z.T @ z) / np.outer(norms, norms)
-    r = (r + r.T) / 2.0
+    """Pearson (phi) correlation of the indicator columns.
+
+    It comes from the exact co-occurrence counts through ``phi``, the
+    formula the permutation null applies to each replication.
+    """
+    r = phi(cooccurrence(ind.values), ind.n)
     np.clip(r, -1.0, 1.0, out=r)
     np.fill_diagonal(r, 1.0)
     return CorrelationMatrix(r, PEARSON)

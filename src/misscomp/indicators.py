@@ -16,11 +16,8 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
 # cap, in entries, on each scratch array of a co-occurrence count and of a
-# block of permutation-null replications (1 MB of float64 null copies)
+# block of permutation-null replications (1 MB of float64 copies)
 SCRATCH_ENTRIES = 1 << 17
-# float32 holds every integer up to 2**24 exactly, so a count summed over at
-# most this many rows is exact
-_FLOAT32_EXACT_ROWS = 1 << 24
 
 
 class ColumnNotFoundError(KeyError):
@@ -190,22 +187,36 @@ class IndicatorMatrix:
 
 
 def cooccurrence(values: np.ndarray) -> np.ndarray:
-    """Exact co-occurrence counts ``XᵀX`` of a 0/1 matrix, as float64.
+    """Exact co-occurrence counts ``XᵀX`` of an (n, k) 0/1 matrix, as float64.
 
     Entry (i, j) counts the rows where columns i and j are both 1, so the
-    diagonal holds the column sums. A stack of matrices, shape (..., n, k),
-    gives one count matrix each. Rows go through a float32 BLAS product in
-    chunks of at most ``SCRATCH_ENTRIES`` entries and 2**24 rows; each
-    chunk's counts are integers that float32 represents exactly, and they
-    add up in float64.
+    diagonal holds the column sums. Rows go through a float64 BLAS product
+    in chunks of at most ``SCRATCH_ENTRIES`` entries; float64 holds every
+    integer up to 2**53 exactly, so every partial sum is the exact count.
     """
-    n, k = values.shape[-2:]
-    width = max(values.size // max(n, 1), 1)  # entries per row across the stack
-    step = max(1, min(SCRATCH_ENTRIES // width, _FLOAT32_EXACT_ROWS))
-    counts = np.zeros(values.shape[:-2] + (k, k))
+    n, k = values.shape
+    step = max(1, SCRATCH_ENTRIES // max(k, 1))
+    counts = np.zeros((k, k))
     for start in range(0, n, step):
-        x = values[..., start : start + step, :].astype(np.float32)
-        counts += np.swapaxes(x, -1, -2) @ x
+        x = values[start : start + step].astype(np.float64)
+        counts += x.T @ x
+    return counts
+
+
+def phi(counts: np.ndarray, n: int) -> np.ndarray:
+    """Pearson (phi) correlations of 0/1 columns from their co-occurrence counts.
+
+    ``counts`` is C = XᵀX over n rows, or a stack of such matrices; its
+    diagonal holds each column's count of ones m, and
+    r = (n C - m mᵀ) / (s sᵀ) with s = sqrt(n m - m²). Each entry is one
+    expression in exact integer counts, so r is exactly symmetric. Every
+    column needs 0 < m < n. ``counts`` is overwritten with r and returned.
+    """
+    m = np.diagonal(counts, axis1=-2, axis2=-1).copy()
+    s = np.sqrt(n * m - m * m)
+    counts *= n
+    counts -= m[..., :, None] * m[..., None, :]
+    counts /= s[..., :, None] * s[..., None, :]
     return counts
 
 

@@ -23,8 +23,6 @@ IRLS_TOL = 1e-8
 SEPARATION_PROB_TOL = 1e-8
 SEPARATION_COEF_BOUND = 15.0
 RANK_TOL = 1e-10
-# model-matrix value of each binary level name; any other level is not binary
-_BINARY_LEVELS = {"0": 0.0, "1": 1.0}
 
 
 @dataclass
@@ -134,23 +132,11 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
         excluded = int(data.n - observed.sum())
         g0, g1 = flag[observed] == 0, flag[observed] == 1
         n0, n1 = int(g0.sum()), int(g1.sum())
+        stat = df = p = np.nan
+        reason, summaries = "", None
         if n0 < 2 or n1 < 2:
-            results.append(
-                ScreenResult(
-                    variable=name,
-                    test=WELCH_T if kind == NUMERIC else CHI_SQUARE,
-                    statistic=np.nan,
-                    df=np.nan,
-                    p_value=np.nan,
-                    testable=False,
-                    reason=f"fewer than 2 observed values in a group (n0={n0}, n1={n1})",
-                    n_group0=n0,
-                    n_group1=n1,
-                    n_excluded=excluded,
-                )
-            )
-            continue
-        if kind == NUMERIC:
+            reason = f"fewer than 2 observed values in a group (n0={n0}, n1={n1})"
+        elif kind == NUMERIC:
             vals = data.column(name)[observed]
             a, b = vals[g1], vals[g0]
             stat, df, p = _welch(a, b)
@@ -158,34 +144,16 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
                 "group0": {"n": n0, "mean": float(b.mean()), "sd": float(b.std(ddof=1))},
                 "group1": {"n": n1, "mean": float(a.mean()), "sd": float(a.std(ddof=1))},
             }
-            results.append(
-                ScreenResult(name, WELCH_T, stat, df, p, True, "", n0, n1, excluded, summaries)
-            )
         else:
             codes, levels = data.codes(name)
             stat, df, p, counts = _chi_square(codes[observed], levels, flag[observed])
+            summaries = {"counts": counts}
             if np.isnan(stat):
-                results.append(
-                    ScreenResult(
-                        variable=name,
-                        test=CHI_SQUARE,
-                        statistic=np.nan,
-                        df=np.nan,
-                        p_value=np.nan,
-                        testable=False,
-                        reason="contingency table has a single populated row or column",
-                        n_group0=n0,
-                        n_group1=n1,
-                        n_excluded=excluded,
-                        group_summaries={"counts": counts},
-                    )
-                )
-            else:
-                results.append(
-                    ScreenResult(
-                        name, CHI_SQUARE, stat, df, p, True, "", n0, n1, excluded, {"counts": counts}
-                    )
-                )
+                reason = "contingency table has a single populated row or column"
+        test = WELCH_T if kind == NUMERIC else CHI_SQUARE
+        results.append(
+            ScreenResult(name, test, stat, df, p, not reason, reason, n0, n1, excluded, summaries)
+        )
     return results
 
 
@@ -255,8 +223,10 @@ def fit_logistic(
     scale, log-likelihood 0 (the supremum) and ``converged`` False.
     Quasi-complete separation has no such certificate; it is detected after
     the fit from a row fitted to its own label or runaway standardized
-    coefficients. Separated fits suppress their standard errors;
-    classification metrics stay available.
+    coefficients. No maximum exists under either kind, so a separated fit
+    reports ``converged`` False even when the score test passed; it also
+    suppresses its standard errors, while classification metrics stay
+    available.
     """
     y = np.asarray(y).astype(np.float64)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -364,7 +334,7 @@ def fit_logistic(
         specificity=spec,
         correct_pct=correct,
         separated=separated,
-        converged=converged,
+        converged=converged and not separated,
         iterations=iterations,
         aliased=aliased,
         n=int(n),
@@ -387,14 +357,19 @@ def stratified_rerun(
     component_flag: np.ndarray,
     strata: str,
     variables: list[str],
-    predictor_columns: list[str],
+    design: np.ndarray,
+    design_names: list[str],
 ) -> list[StratumResult]:
     """Repeat screens and logistic fits inside each stratum level.
 
-    Levels whose flag has a single class are reported not testable rather
-    than fitted. Rows with a missing stratum value are left out entirely.
-    Strata are named and ordered by ``Dataset.codes``, so a numeric strata
-    column gives levels such as "10.0" and "2.0", in that order.
+    ``design`` holds the predictors of the "multiple" fit, one row per row
+    of ``data`` and one column per name in ``design_names``; each stratum
+    fits its own rows of it, and no fit runs when ``design_names`` is
+    empty. Levels whose flag has a single class are reported not testable
+    rather than fitted. Rows with a missing stratum value are left out
+    entirely. Strata are named and ordered by ``Dataset.codes``, so a
+    numeric strata column gives levels such as "10.0" and "2.0", in that
+    order.
     """
     flag = _binary(component_flag, "component_flag")
     codes, names = data.codes(strata)
@@ -414,28 +389,15 @@ def stratified_rerun(
         stratum_screens = screen(sub, sub_flag, variables)
         fits = []
         labels = []
-        if predictor_columns:
-            design = np.column_stack([numeric_values(sub, name) for name in predictor_columns])
-            keep = np.isfinite(design).all(axis=1)
-            try:
-                fits.append(fit_logistic(sub_flag[keep], design[keep], predictor_columns))
-                labels.append("multiple")
-            except ValueError:
-                pass
+        if design_names:
+            fits.append(fit_logistic(sub_flag, design[rows], design_names))
+            labels.append("multiple")
         out.append(StratumResult(level, True, "", n, stratum_screens, fits, labels))
     return out
 
 
 def numeric_values(data: Dataset, name: str) -> np.ndarray:
-    """Column as floats for model matrices; missing cells become NaN.
-
-    Binary categorical columns coded "0"/"1" (indicator columns live in
-    screening datasets that way) convert transparently.
-    """
-    if data.kind(name) == NUMERIC:
-        return data.column(name).astype(np.float64)
-    codes, levels = data.codes(name)
-    values = np.array([_BINARY_LEVELS.get(lv, np.inf) for lv in levels] + [np.nan])[codes]
-    if np.isinf(values).any():
+    """Numeric column as floats for model matrices; missing cells are NaN."""
+    if data.kind(name) != NUMERIC:
         raise ValueError(f"column {name!r} is categorical and not binary-coded")
-    return values
+    return data.column(name).astype(np.float64)

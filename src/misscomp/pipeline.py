@@ -350,7 +350,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
             raise PipelineError("step8-strata", f"strata column {config.strata_column!r} not in dataset")
         for label, flag in testable:
             for res in mechanism.stratified_rerun(
-                screen_data, flag, config.strata_column, screen_vars, indicator_names
+                screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names
             ):
                 strata_results.append(res)
                 stratum_label = f"{config.strata_column}={res.stratum}"

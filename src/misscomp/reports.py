@@ -18,7 +18,7 @@ from . import __version__
 from .extraction import ComponentScores, EigenSolution
 from .indicators import PatternTable
 from .mechanism import LogisticFit, ScreenResult
-from .retention import RetentionDecision
+from .retention import CRITERIA, RetentionDecision
 from .simulation import SimReport
 
 SCHEMA_VERSION = 1
@@ -251,8 +251,6 @@ def write_scores_csv(path: Path, scores: ComponentScores) -> None:
 
 
 def write_grid_csv(path: Path, report: SimReport) -> None:
-    from .retention import CRITERIA
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         header = ["n_components", "items_per_component", "n", "p_miss", "corr", "method", "replications"]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicators import SCRATCH_ENTRIES, IndicatorMatrix
+from .indicators import SCRATCH_ENTRIES, IndicatorMatrix, phi
 
 KAISER = "kaiser"
 EKC = "ekc"
@@ -74,9 +74,9 @@ def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
 
     Each replication draws its permutations from a stream spawned off
     (seed, replication index), so the result is identical however the work
-    is scheduled. Permuting a column keeps its count of ones m, so every
+    is scheduled. Permuting a column keeps its count of ones, so every
     replication's Pearson matrix follows from its exact co-occurrence
-    counts C alone: r = (n C - m mᵀ) / (s sᵀ) with s = sqrt(n m - m²).
+    counts C alone, through ``phi`` as the observed matrix does.
     Each replication shuffles a float64 (k, n) copy of the indicators, one
     row per column, cast from a C-ordered uint8 (k, n) base: numpy's
     shuffle has a fast path for 8-byte items, and it draws the same stream
@@ -89,10 +89,6 @@ def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
     n, k = ind.values.shape
     streams = np.random.SeedSequence(seed).spawn(reps)
     base = np.ascontiguousarray(ind.values.T)
-    m = base.sum(axis=1, dtype=np.float64)
-    s = np.sqrt(n * m - m * m)
-    mm = np.outer(m, m)
-    ss = np.outer(s, s)
     out = np.empty((reps, k))
     batch = min(reps, max(1, SCRATCH_ENTRIES // max(n * k, k * k)))
     block = np.empty((batch, k, n))
@@ -101,10 +97,7 @@ def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
         perm = block[: stop - start]
         for i, r in enumerate(range(start, stop)):
             np.random.default_rng(streams[r]).permuted(base, axis=1, out=perm[i])
-        corr = perm @ perm.swapaxes(-1, -2)
-        corr *= n
-        corr -= mm
-        corr /= ss
+        corr = phi(perm @ perm.swapaxes(-1, -2), n)
         out[start:stop] = np.linalg.eigvalsh(corr)[:, ::-1]
     return out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,34 @@ class TestPearson:
         c = pearson(indicator_matrix(values))
         np.testing.assert_allclose(np.diag(c.values), 1.0)
         np.testing.assert_array_equal(c.values, c.values.T)
+
+    def test_extreme_marginals_match_numpy_corrcoef(self, rng):
+        # a column with a single one and a column with a single zero: the
+        # smallest and largest counts an indicator column may hold
+        n = 80
+        values = rng.integers(0, 2, size=(n, 4))
+        values[0] = 0
+        values[1] = 1
+        values[:, 0] = 0
+        values[17, 0] = 1
+        values[:, 1] = 1
+        values[17, 1] = 0
+        values[:, 2] = 1
+        values[40, 2] = 0
+        assert values.sum(axis=0)[:3].tolist() == [1, n - 1, n - 1]
+        c = pearson(indicator_matrix(values))
+        np.testing.assert_allclose(c.values, np.corrcoef(values, rowvar=False), atol=1e-12)
+
+    def test_traced_peak_stays_bounded(self, rng):
+        # centring float64 copies of a 200000x50 input peaks near 230 MB
+        ind = indicator_matrix(rng.integers(0, 2, size=(200_000, 50), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            pearson(ind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestTetrachoric:

@@ -195,20 +195,12 @@ class TestCooccurrence:
         np.testing.assert_array_equal(counts, ints.T @ ints)
         np.testing.assert_array_equal(np.diag(counts), values.sum(axis=0))
 
-    @pytest.mark.parametrize("cap", ["SCRATCH_ENTRIES", "_FLOAT32_EXACT_ROWS"])
+    @pytest.mark.parametrize("cap", ["SCRATCH_ENTRIES"])
     def test_row_chunks_add_up_exactly(self, rng, monkeypatch, cap):
         values = (rng.random((503, 7)) < 0.4).astype(np.uint8)
         ints = values.astype(np.int64)
         monkeypatch.setattr(indicators, cap, 40)
         np.testing.assert_array_equal(cooccurrence(values), ints.T @ ints)
-
-    def test_stack_gives_one_matrix_each(self, rng, monkeypatch):
-        stack = (rng.random((4, 120, 5)) < 0.5).astype(np.uint8)
-        monkeypatch.setattr(indicators, "SCRATCH_ENTRIES", 64)
-        counts = cooccurrence(stack)
-        assert counts.shape == (4, 5, 5)
-        for x, c in zip(stack.astype(np.int64), counts):
-            np.testing.assert_array_equal(c, x.T @ x)
 
 
 @settings(max_examples=50, deadline=None)

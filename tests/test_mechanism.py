@@ -116,6 +116,17 @@ class TestScreen:
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
+    def test_single_observed_level_not_testable(self):
+        data = dataset_from_arrays({"g": ["a", "a", "a", "a", None, None]})
+        flag = np.array([0, 0, 1, 1, 1, 0])
+        res = screen(data, flag, ["g"])[0]
+        assert res.test == CHI_SQUARE
+        assert not res.testable
+        assert res.reason == "contingency table has a single populated row or column"
+        assert np.isnan([res.statistic, res.df, res.p_value]).all()
+        assert (res.n_group0, res.n_group1, res.n_excluded) == (2, 2, 2)
+        assert res.group_summaries == {"counts": {"a": [2, 2]}}
+
     def test_fractional_flag_rejected(self):
         # a cast before the check would truncate this to a 3/3 split
         data = dataset_from_arrays({"a": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]})
@@ -276,6 +287,7 @@ class TestSeparationCertificate:
         counts = np.array([25, 0, 10, 30])
         fit = fit_logistic(TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X, ["x"], weights=counts)
         assert fit.separated
+        assert not fit.converged
         assert fit.standard_errors is None
         assert fit.log_likelihood < 0.0
         assert fit.log_likelihood == pytest.approx(10 * np.log(10 / 40) + 30 * np.log(30 / 40), abs=1e-6)
@@ -422,11 +434,11 @@ class TestStratifiedRerun:
             {
                 "x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
                 "g": ["a", "a", "a", "a", "b", "b", "b", "b"],
-                "m1": ["1", "0", "1", "0", "1", "1", "1", "1"],
             }
         )
         flag = np.array([1, 0, 1, 0, 1, 1, 1, 1])
-        results = stratified_rerun(data, flag, "g", ["x"], ["m1"])
+        design = np.array([[1.0], [0.0], [1.0], [0.0], [1.0], [1.0], [1.0], [1.0]])
+        results = stratified_rerun(data, flag, "g", ["x"], design, ["m1"])
         by_level = {r.stratum: r for r in results}
         assert set(by_level) == {"a", "b"}
         assert by_level["a"].testable
@@ -441,28 +453,47 @@ class TestStratifiedRerun:
             }
         )
         flag = np.array([1, 0, 0, 1, 0, 1, 0])
-        results = stratified_rerun(data, flag, "g", ["x"], [])
+        results = stratified_rerun(data, flag, "g", ["x"], np.empty((7, 0)), [])
         assert {r.stratum: r.n for r in results} == {"a": 3, "b": 3}
+
+    def test_fits_take_the_stratum_rows_of_the_design(self, rng):
+        n = 240
+        g = rng.choice(["a", "b", "c"], size=n)
+        g[:3] = ["a", "b", "c"]
+        design = (rng.random((n, 3)) < 0.4).astype(np.float64)
+        flag = (rng.random(n) < 0.2 + 0.5 * design[:, 0]).astype(int)
+        names = ["m1", "m2", "m3"]
+        data = dataset_from_arrays({"g": list(g)})
+        results = stratified_rerun(data, flag, "g", [], design, names)
+        assert [r.stratum for r in results] == ["a", "b", "c"]
+        for res in results:
+            rows = g == res.stratum
+            expect = fit_logistic(flag[rows], design[rows], names)
+            assert res.testable and res.fit_labels == ["multiple"]
+            (fit,) = res.fits
+            np.testing.assert_array_equal(fit.coefficients, expect.coefficients)
+            np.testing.assert_array_equal(fit.standard_errors, expect.standard_errors)
+            assert (fit.log_likelihood, fit.auc, fit.n) == (
+                expect.log_likelihood, expect.auc, expect.n
+            )
+        # no names, no fit, whatever the design holds
+        for res in stratified_rerun(data, flag, "g", [], design, []):
+            assert res.testable and res.fits == [] and res.fit_labels == []
 
     def test_fractional_flag_rejected(self):
         data = dataset_from_arrays({"x": [1.0, 2.0, 3.0, 4.0], "g": ["a", "a", "b", "b"]})
         with pytest.raises(ValueError, match="binary"):
-            stratified_rerun(data, np.array([0.5, 1.0, 0.0, 1.5]), "g", ["x"], [])
+            stratified_rerun(data, np.array([0.5, 1.0, 0.0, 1.5]), "g", ["x"], np.empty((4, 0)), [])
 
     def test_unknown_stratum_column(self, small_dataset):
         with pytest.raises(KeyError):
-            stratified_rerun(small_dataset, np.zeros(8, dtype=int), "ghost", [], [])
+            stratified_rerun(small_dataset, np.zeros(8, dtype=int), "ghost", [], np.empty((8, 0)), [])
 
 
 class TestNumericValues:
     def test_numeric_passthrough(self, small_dataset):
         out = numeric_values(small_dataset, "z")
         np.testing.assert_allclose(out, small_dataset.column("z"))
-
-    def test_binary_categorical_coerced(self):
-        data = dataset_from_arrays({"m": ["1", "0", None, "1"]})
-        out = numeric_values(data, "m")
-        assert out[0] == 1.0 and out[1] == 0.0 and np.isnan(out[2]) and out[3] == 1.0
 
     def test_non_binary_categorical_rejected(self):
         data = dataset_from_arrays({"g": ["a", "b", "a"]})

@@ -616,18 +616,20 @@ def golden_csv(tmp_path_factory):
 # SHA-256 of every bundle file but manifest.json, whose versions and paths
 # vary by machine, for the golden input at seed 11. Recorded while
 # categorical columns were still object arrays of strings. A CSV column of
-# "0"/"1" always ingests as numeric, so the stratum fits on the "0"/"1"
-# indicator columns are what cover the binary categorical predictor path.
+# "0"/"1" always ingests as numeric, and the stratum fits take the
+# indicators' 0/1 design from analyze, so no path models a binary
+# categorical predictor any more.
 # logistic.csv was re-recorded when completely separated fits began to stop
 # at their separation certificate (only the coefficient, converged and
-# log_likelihood cells of the separated rows moved), and when a fit with a
+# log_likelihood cells of the separated rows moved), when a fit with a
 # row fitted to its own label became separated: simple:site_miss, whose
 # single x = 1 row sits in one cell of its 2x2 table, lost its standard
-# errors.
+# errors, and when separated fits began to report converged False, since
+# no maximum exists: only simple:site_miss's two converged cells moved.
 GOLDEN_DIGESTS = {
     "loadings.csv": "4e439111979192ded9ef9ed4c2ff7df2c9af79f50e081ab690920a23ef714be2",
     "loadings.md": "04d120c61d2970c46bb9e8576f5d6452dead939b0b64bef95bcc73ea2b4874df",
-    "logistic.csv": "9196985ae6d97374c4ec6835c64dc09d69acd57433b806ade6ed198c06990f74",
+    "logistic.csv": "211202424612bd09f76d39862df37e1638228985ae43001fa41098e821d1c37f",
     "patterns.csv": "f105cf94e1098678cf5fa3e852190b5380939276619605386f0407dee0a7f772",
     "patterns.json": "54562e14ba8e1beccc05449b5cdd8de42b9e08fed59a411f6f7209a9a179fd9e",
     "patterns.md": "89615180fcf80d2dfa61e667d30e9133aae5421e007e5d87a88fb7073bf83704",
