@@ -48,43 +48,30 @@ def encode(cells: list, missing: Iterable = (None,)) -> tuple[np.ndarray, list[s
 class Dataset:
     """Rectangular column store with explicit missing cells.
 
-    Numeric columns are float arrays with NaN marking missing cells.
-    Categorical columns are integer codes into a sorted list of level
-    names, with -1 marking missing cells; ``levels`` holds that list for
-    each categorical column and None for each numeric one. A categorical
-    column given without levels is an object array with None marking
-    missing cells, and is encoded here once (each value by its ``str``).
+    Each column takes one of two forms. A numeric column is a float array
+    with NaN marking missing cells, and its entry in ``levels`` is None. A
+    categorical column is integer codes into its entry in ``levels``, a
+    sorted list of level names, with -1 marking missing cells. So a column
+    is categorical exactly when it has levels.
     """
 
     column_names: list[str]
     columns: list[np.ndarray]
-    kinds: list[str]
-    levels: list[list[str] | None] | None = None
+    levels: list[list[str] | None]
     coerced: dict[str, int] = field(default_factory=dict)  # numeric column -> tokens read as missing
 
     def __post_init__(self):
         if len(set(self.column_names)) != len(self.column_names):
             raise ValueError("duplicate column names in dataset")
-        if not (len(self.column_names) == len(self.columns) == len(self.kinds)):
-            raise ValueError("column_names, columns and kinds must align")
+        if not (len(self.column_names) == len(self.columns) == len(self.levels)):
+            raise ValueError("column_names, columns and levels must align")
         lengths = {len(col) for col in self.columns}
         if len(lengths) > 1:
             raise ValueError(f"ragged dataset: column lengths {sorted(lengths)}")
-        for kind in self.kinds:
-            if kind not in (NUMERIC, CATEGORICAL):
-                raise ValueError(f"unknown column kind {kind!r}")
-        self.columns = list(self.columns)
-        self.levels = [None] * len(self.columns) if self.levels is None else list(self.levels)
-        if len(self.levels) != len(self.columns):
-            raise ValueError("levels must align with columns")
-        for j, kind in enumerate(self.kinds):
-            if kind == NUMERIC:
-                continue
-            if self.levels[j] is None:
-                cells = [None if v is None else str(v) for v in self.columns[j]]
-                self.columns[j], self.levels[j] = encode(cells)
-            elif self.columns[j].dtype.kind != "i":
-                raise ValueError(f"column {self.column_names[j]!r} has levels but no integer codes")
+        for name, col, names in zip(self.column_names, self.columns, self.levels):
+            if col.dtype.kind != ("f" if names is None else "i"):
+                has = "no levels" if names is None else "levels"
+                raise ValueError(f"column {name!r} has {has} but dtype {col.dtype}")
 
     @property
     def n(self) -> int:
@@ -103,12 +90,12 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         """Numeric values, or categorical level names as objects (None = missing)."""
         j = self._index(name)
-        if self.kinds[j] == NUMERIC:
+        if self.levels[j] is None:
             return self.columns[j]
         return np.array(self.levels[j] + [None], dtype=object)[self.columns[j]]
 
     def kind(self, name: str) -> str:
-        return self.kinds[self._index(name)]
+        return NUMERIC if self.levels[self._index(name)] is None else CATEGORICAL
 
     def codes(self, name: str) -> tuple[np.ndarray, list[str]]:
         """Integer codes (-1 = missing) and level names of one column.
@@ -117,7 +104,7 @@ class Dataset:
         with levels in string order, so 10.0 sorts before 2.0.
         """
         j = self._index(name)
-        if self.kinds[j] == CATEGORICAL:
+        if self.levels[j] is not None:
             return self.columns[j], self.levels[j]
         col = self.columns[j]
         present = ~np.isnan(col)
@@ -131,7 +118,7 @@ class Dataset:
     def missing_mask(self, name: str) -> np.ndarray:
         """Boolean mask of missing cells for one column."""
         j = self._index(name)
-        if self.kinds[j] == NUMERIC:
+        if self.levels[j] is None:
             return np.isnan(self.columns[j])
         return self.columns[j] < 0
 
@@ -140,7 +127,6 @@ class Dataset:
         return Dataset(
             column_names=list(self.column_names),
             columns=[c[rows] for c in self.columns],
-            kinds=list(self.kinds),
             levels=list(self.levels),
         )
 

@@ -399,5 +399,5 @@ def stratified_rerun(
 def numeric_values(data: Dataset, name: str) -> np.ndarray:
     """Numeric column as floats for model matrices; missing cells are NaN."""
     if data.kind(name) != NUMERIC:
-        raise ValueError(f"column {name!r} is categorical and not binary-coded")
+        raise ValueError(f"column {name!r} is categorical; covariates must be numeric")
     return data.column(name).astype(np.float64)

@@ -19,8 +19,6 @@ from . import correlation, extraction, mechanism, reports, retention
 from .correlation import PEARSON, TETRACHORIC
 from .extraction import PAF, PCA
 from .indicators import (
-    CATEGORICAL,
-    NUMERIC,
     Dataset,
     IndicatorMatrix,
     PatternTable,
@@ -139,7 +137,6 @@ def ingest(
 
     sentinel_set = set(sentinels)
     columns = []
-    kinds = []
     levels = []
     coerced = {}
     for name, raw in zip(header, zip(*body) if body else [()] * len(header)):
@@ -148,7 +145,7 @@ def ingest(
         n_present = sum(c not in sentinel_set for c in cells)
         n_numeric = sum(v is not None for v in parsed)
         if n_numeric >= NUMERIC_PARSE_FRACTION * n_present:
-            col = np.array([np.nan if v is None else v for v in parsed], dtype=np.float64)
+            col, names = np.array([np.nan if v is None else v for v in parsed], dtype=np.float64), None
             for i in np.flatnonzero(~np.isfinite(col)):
                 if parsed[i] is not None:
                     raise IngestError(
@@ -157,15 +154,11 @@ def ingest(
                     )
             if n_numeric < n_present:
                 coerced[name] = n_present - n_numeric
-            columns.append(col)
-            kinds.append(NUMERIC)
-            levels.append(None)
         else:
-            codes, names = encode(cells, sentinel_set)
-            columns.append(codes)
-            kinds.append(CATEGORICAL)
-            levels.append(names)
-    return Dataset(column_names=header, columns=columns, kinds=kinds, levels=levels, coerced=coerced)
+            col, names = encode(cells, sentinel_set)
+        columns.append(col)
+        levels.append(names)
+    return Dataset(column_names=header, columns=columns, levels=levels, coerced=coerced)
 
 
 def tabulate(config: RunConfig) -> tuple[Dataset, IndicatorMatrix, PatternTable]:
@@ -210,7 +203,6 @@ def _screening_dataset(data: Dataset, ind: IndicatorMatrix) -> Dataset:
     return Dataset(
         column_names=list(data.column_names) + list(ind.column_names),
         columns=list(data.columns) + [ind.values[:, j].view(np.int8) for j in range(ind.k)],
-        kinds=list(data.kinds) + [CATEGORICAL] * ind.k,
         levels=list(data.levels) + [["0", "1"]] * ind.k,
     )
 
@@ -304,6 +296,12 @@ def analyze(config: RunConfig) -> AnalysisResult:
     for name in covariates:
         if name not in data.column_names:
             raise PipelineError("step7-logistic", f"covariate column {name!r} not in dataset")
+    if covariates:
+        try:
+            cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])[usable]
+        except ValueError as exc:
+            raise PipelineError("step7-logistic", str(exc)) from exc
+        keep = np.isfinite(cov).all(axis=1)
 
     # (label, flags over the usable rows) of each component with both classes
     testable: list[tuple[str, np.ndarray]] = []
@@ -318,9 +316,6 @@ def analyze(config: RunConfig) -> AnalysisResult:
     done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")
 
     x_ind = ind.values[usable].astype(np.float64)
-    if covariates and testable:
-        cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])[usable]
-        keep = np.isfinite(cov).all(axis=1)
     # a fit on one 0/1 indicator depends only on its 2x2 table against the
     # flag, so it runs on the table's four cells weighted by their counts
     cell_x = np.array([[1.0], [1.0], [0.0], [0.0]])
@@ -348,17 +343,26 @@ def analyze(config: RunConfig) -> AnalysisResult:
     if config.strata_column:
         if config.strata_column not in data.column_names:
             raise PipelineError("step8-strata", f"strata column {config.strata_column!r} not in dataset")
+        n_unplaced = int(screen_data.missing_mask(config.strata_column).sum())
+        if n_unplaced:
+            notes.append(f"{n_unplaced} usable row(s) missing {config.strata_column!r} left out of strata")
         for label, flag in testable:
-            for res in mechanism.stratified_rerun(
-                screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names
-            ):
+            try:
+                reruns = mechanism.stratified_rerun(
+                    screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names
+                )
+            except ValueError as exc:
+                raise PipelineError("step8-strata", str(exc)) from exc
+            for res in reruns:
                 strata_results.append(res)
                 stratum_label = f"{config.strata_column}={res.stratum}"
+                if not res.testable:
+                    notes.append(f"{label}: stratum {stratum_label} skipped ({res.reason})")
                 for s in res.screens:
                     screen_rows.append((label, stratum_label, s))
                 for fit_label, fit in zip(res.fit_labels, res.fits):
                     logistic_rows.append((label, stratum_label, fit_label, fit))
-        done("step8-strata", f"{len(strata_results)} stratum rerun(s)")
+        done("step8-strata", f"{sum(r.testable for r in strata_results)} stratum rerun(s)")
     else:
         skipped("step8-strata", "no strata column configured")
 

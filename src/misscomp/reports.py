@@ -81,7 +81,9 @@ def write_patterns_json(path: Path, table: PatternTable) -> None:
             for r in table.rows
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with open(path, "w") as fh:  # streamed, never held as one string
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_loadings_csv(path: Path, names: list[str], loadings: np.ndarray) -> None:
@@ -307,7 +309,9 @@ def manifest(command: str, files: list[str], **sections) -> dict:
 
 
 def write_manifest(path: Path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def solution_summary(sol: EigenSolution) -> dict:

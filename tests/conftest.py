@@ -1,29 +1,26 @@
 import numpy as np
 import pytest
 
-from misscomp.indicators import CATEGORICAL, NUMERIC, Dataset
+from misscomp.indicators import Dataset, encode
 
 
 def dataset_from_arrays(named_columns):
     """Build a Dataset from {name: list} pairs; None marks missing cells.
 
-    Lists of numbers become numeric columns (None -> NaN), anything else
-    becomes a categorical object column.
+    Lists of numbers become numeric columns (None -> NaN); any other list
+    becomes a categorical column, encoded by the ``str`` of each value.
     """
-    names = list(named_columns)
     columns = []
-    kinds = []
-    for name in names:
-        raw = named_columns[name]
-        numeric = all(v is None or isinstance(v, (int, float)) for v in raw)
-        if numeric:
-            col = np.array([np.nan if v is None else float(v) for v in raw])
-            kinds.append(NUMERIC)
+    levels = []
+    for raw in named_columns.values():
+        if all(v is None or isinstance(v, (int, float)) for v in raw):
+            columns.append(np.array([np.nan if v is None else float(v) for v in raw]))
+            levels.append(None)
         else:
-            col = np.array([None if v is None else str(v) for v in raw], dtype=object)
-            kinds.append(CATEGORICAL)
-        columns.append(col)
-    return Dataset(column_names=names, columns=columns, kinds=kinds)
+            codes, names = encode([None if v is None else str(v) for v in raw])
+            columns.append(codes)
+            levels.append(names)
+    return Dataset(column_names=list(named_columns), columns=columns, levels=levels)
 
 
 @pytest.fixture

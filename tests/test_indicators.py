@@ -71,7 +71,7 @@ class TestDataset:
             Dataset(
                 column_names=["a", "b"],
                 columns=[np.array([1.0, 2.0]), np.array([1.0])],
-                kinds=[NUMERIC, NUMERIC],
+                levels=[None, None],
             )
 
     def test_duplicate_names_rejected(self):
@@ -79,8 +79,34 @@ class TestDataset:
             Dataset(
                 column_names=["a", "a"],
                 columns=[np.array([1.0]), np.array([2.0])],
-                kinds=[NUMERIC, NUMERIC],
+                levels=[None, None],
             )
+
+    @pytest.mark.parametrize(
+        "column, levels, match",
+        [
+            (np.array(["a", None], dtype=object), None, "column 'g' has no levels but dtype object"),
+            (np.array([0, 1], dtype=np.int8), None, "column 'g' has no levels but dtype int8"),
+            (np.array([0.0, 1.0]), ["a", "b"], "column 'g' has levels but dtype float64"),
+        ],
+    )
+    def test_column_form_must_match_levels(self, column, levels, match):
+        # an object column given without levels would otherwise read as numeric
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            Dataset(column_names=["x", "g"], columns=[np.array([1.0, 2.0]), column], levels=[None, levels])
+
+    def test_levels_must_align_with_columns(self):
+        with pytest.raises(ValueError, match="must align"):
+            Dataset(column_names=["a"], columns=[np.array([1.0])], levels=[])
+
+    def test_kind_follows_levels_through_take(self, small_dataset):
+        sub = small_dataset.take(np.array([True, False] * 4))
+        for data in (small_dataset, sub):
+            assert [data.kind(name) for name in data.column_names] == [
+                NUMERIC if lv is None else CATEGORICAL for lv in data.levels
+            ]
+        assert sub.levels == small_dataset.levels
+        assert (sub.kind("y1"), sub.kind("label")) == (NUMERIC, CATEGORICAL)
 
 
 class TestBuildIndicators:
@@ -220,7 +246,7 @@ def test_pattern_counts_partition_rows(n, k, seed):
     data = Dataset(
         column_names=[f"v{j}" for j in range(k)],
         columns=cols,
-        kinds=[NUMERIC] * k,
+        levels=[None] * k,
     )
     ind = build_indicators(data)
     np.testing.assert_array_equal(ind.values, values)

@@ -40,6 +40,14 @@ def write_csv(path, header, rows):
     return path
 
 
+def with_columns(src, dest, **columns):
+    """A copy of the CSV at ``src`` with columns appended, one cell per row."""
+    with open(src, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    cells = zip(*columns.values())
+    return write_csv(dest, header + list(columns), [row + list(c) for row, c in zip(rows, cells)])
+
+
 @pytest.fixture(scope="module")
 def synthetic_csv(tmp_path_factory):
     """One dominant component across five items, 25% missing each, with a
@@ -337,6 +345,44 @@ class TestAnalyze:
             analyze(config)
         assert err.value.step == "step8-strata"
 
+    def test_categorical_covariate_is_step7_error(self, synthetic_csv):
+        config = RunConfig(input_path=synthetic_csv, seed=123, covariate_columns=["site"])
+        with pytest.raises(PipelineError, match=r"^column 'site' is categorical; covariates must be numeric$") as err:
+            analyze(config)
+        assert err.value.step == "step7-logistic"
+
+    def test_single_level_strata_is_step8_error(self, synthetic_csv, tmp_path):
+        path = with_columns(synthetic_csv, tmp_path / "wave.csv", wave=["w1"] * 400)
+        config = RunConfig(input_path=path, seed=123, strata_column="wave")
+        with pytest.raises(PipelineError, match=r"^strata column must have at least 2 levels$") as err:
+            analyze(config)
+        assert err.value.step == "step8-strata"
+
+    def test_every_stratum_runs_without_notes(self, full_result):
+        assert full_result.steps[-1]["detail"] == "2 stratum rerun(s)"
+        assert not [note for note in full_result.notes if "strat" in note]
+
+    def test_skipped_stratum_and_unplaced_rows_are_noted(self, synthetic_csv, full_result, tmp_path):
+        # a stratum of two rows on the high side of the flag cannot be fitted,
+        # and one usable row with no stratum value is left out
+        usable = np.flatnonzero(~full_result.scores.fully_missing)
+        flag = full_result.scores.dichotomized[:, 0]
+        high = [i for i in usable if flag[i]][:2]
+        lost = next(i for i in usable if not flag[i])
+        grp = ["x" if i in high else "" if i == lost else "y" for i in range(400)]
+        path = with_columns(synthetic_csv, tmp_path / "grp.csv", grp=grp)
+        items = [f"item{j}" for j in range(1, 6)]
+        result = analyze(RunConfig(input_path=path, seed=123, columns=items, strata_column="grp"))
+        assert result.q == 1
+        np.testing.assert_array_equal(result.scores.dichotomized, full_result.scores.dichotomized)
+        assert [(r.stratum, r.testable, r.n) for r in result.strata] == [
+            ("x", False, 2), ("y", True, len(usable) - 3)
+        ]
+        assert "component_1: stratum grp=x skipped (component flag has a single class)" in result.notes
+        assert "1 usable row(s) missing 'grp' left out of strata" in result.notes
+        assert result.steps[-1] == {"step": "step8-strata", "status": "done", "detail": "1 stratum rerun(s)"}
+        assert {s for _, s, _ in result.screen_rows if s} == {"grp=y"}
+
 
 class TestBundle:
     def test_file_list_all_formats(self, full_result, tmp_path):
@@ -507,6 +553,22 @@ class TestCli:
         rc = cli.main(["analyze", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error [step1-indicators]:")
+
+    def test_analyze_categorical_covariate(self, synthetic_csv, tmp_path, capsys):
+        rc = cli.main(
+            ["analyze", "--input", str(synthetic_csv), "--out", str(tmp_path), "--seed", "123",
+             "--covariates", "site"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error [step7-logistic]: column 'site' is categorical")
+
+    def test_analyze_single_level_strata(self, synthetic_csv, tmp_path, capsys):
+        path = with_columns(synthetic_csv, tmp_path / "wave.csv", wave=["w1"] * 400)
+        rc = cli.main(
+            ["analyze", "--input", str(path), "--out", str(tmp_path), "--seed", "123", "--strata", "wave"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error [step8-strata]: strata column must have")
 
     def test_patterns_missing_input(self, tmp_path, capsys):
         rc = cli.main(["patterns", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
@@ -687,5 +749,6 @@ class TestGoldenBundle:
             )
 
     def test_non_binary_categorical_covariate_rejected(self, golden_csv, tmp_path):
-        with pytest.raises(ValueError, match=r"^column 'grp' is categorical and not binary-coded$"):
+        with pytest.raises(PipelineError, match=r"^column 'grp' is categorical; covariates must be numeric$") as err:
             analyze(self.config(golden_csv, tmp_path, covariate_columns=["grp"]))
+        assert err.value.step == "step7-logistic"

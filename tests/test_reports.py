@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from misscomp import reports
 from misscomp.extraction import ComponentScores, EigenSolution
-from misscomp.indicators import build_indicators, tabulate_patterns
+from misscomp.indicators import PatternRow, PatternTable, build_indicators, tabulate_patterns
 from misscomp.mechanism import LogisticFit, ScreenResult
 from misscomp.retention import (
     CRITERIA,
@@ -94,6 +95,29 @@ class TestPatternsWriters:
         reports.write_patterns_json(a, pattern_table)
         reports.write_patterns_json(b, pattern_table)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_json_streams_to_the_file(self, tmp_path):
+        # 12000 patterns over 20 indicators; the document as one string (and
+        # the list of pieces it is joined from) would take over 10 MB
+        k, n_patterns = 20, 12000
+        n = n_patterns * (n_patterns + 1) // 2
+        rows = [
+            PatternRow(format(i, f"0{k}b"), n_patterns - i, (n_patterns - i) / n, i + 1)
+            for i in range(n_patterns)
+        ]
+        table = PatternTable(rows, k, n, 0, n, False)
+        path = tmp_path / "patterns.json"
+        tracemalloc.start()
+        try:
+            reports.write_patterns_json(path, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        payload = json.loads(path.read_text())
+        assert len(payload["rows"]) == n_patterns
+        assert payload["rows"][-1]["pattern"] == rows[-1].pattern
+        assert path.read_text().endswith("}\n")
 
 
 class TestLoadingsWriters:

@@ -229,12 +229,12 @@ def reference_null(ind, reps, seed):
 
 
 def frozen_stream_null(ind, reps, seed):
-    """Stream oracle: the null from a row-major uint8 shuffle and float32 counts.
+    """Stream oracle: the null from a row-major uint8 shuffle.
 
-    It shuffles with ``permuted(axis=0)`` and counts co-occurrences in
-    float32, the layout, item size and precision ``_permutation_null`` does
-    not use, so bit-for-bit equality shows that the draws and the rounding
-    depend on none of them.
+    It shuffles with ``permuted(axis=0)`` and counts co-occurrences with
+    ``indicators.cooccurrence`` (float64 row chunks), in the layout and
+    item size ``_permutation_null`` does not use, so bit-for-bit equality
+    shows that the draws depend on neither.
     """
     n = ind.n
     streams = np.random.SeedSequence(seed).spawn(reps)
