@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,8 @@ class ComponentScores:
 
     scores: np.ndarray  # (n, q)
     dichotomized: np.ndarray  # (n, q) uint8, 1 = high missingness side
-    cutoff: float
     orientation: np.ndarray  # (q,) +1/-1 sign applied to each column
-    fully_missing: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    fully_missing: np.ndarray  # (n,) bool, rows missing on every indicator
 
     @property
     def q(self) -> int:
@@ -174,9 +173,5 @@ def scores(ind: IndicatorMatrix, sol: EigenSolution, q: int, cutoff: float = 0.0
     s = z @ vectors
     dich = (s > cutoff).astype(np.uint8)
     return ComponentScores(
-        scores=s,
-        dichotomized=dich,
-        cutoff=cutoff,
-        orientation=signs,
-        fully_missing=ind.fully_missing_rows,
+        scores=s, dichotomized=dich, orientation=signs, fully_missing=ind.fully_missing_rows
     )

@@ -146,7 +146,7 @@ class IndicatorMatrix:
             raise ValueError("indicator values must be two-dimensional")
         if not np.isin(vals, (0, 1)).all():
             raise ValueError("indicator entries must be 0 or 1")
-        self.values = vals.astype(np.uint8)
+        self.values = np.ascontiguousarray(vals, dtype=np.uint8)
         marg = self.marginals
         if self.k and not ((marg > 0) & (marg < 1)).all():
             raise ValueError("retained indicator columns must have 0 < marginal < 1")
@@ -238,11 +238,30 @@ class PatternTable:
         return len(self.rows)
 
 
+def from_mask(mask: np.ndarray, sources: list[str]) -> IndicatorMatrix:
+    """Indicators of an (n, k) missing-cell mask, column j taken from ``sources[j]``.
+
+    A column observed everywhere or missing everywhere carries no
+    information about missingness structure and is dropped with its
+    reason; each kept column is named ``<source>_miss``, 1 where the cell
+    was missing.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    n_missing = mask.sum(axis=0)
+    keep = (n_missing > 0) & (n_missing < len(mask))
+    dropped = [
+        (name, "all cells observed" if m == 0 else "all cells missing")
+        for name, m, ok in zip(sources, n_missing, keep)
+        if not ok
+    ]
+    kept = [name for name, ok in zip(sources, keep) if ok]
+    return IndicatorMatrix(mask[:, keep], [f"{name}_miss" for name in kept], kept, dropped)
+
+
 def build_indicators(data: Dataset, selected_columns: list[str] | None = None) -> IndicatorMatrix:
     """Turn missing cells of the selected columns into 0/1 indicator columns.
 
-    Columns observed everywhere or missing everywhere carry no information
-    about missingness structure and are dropped with a recorded reason.
+    Columns are kept and dropped as ``from_mask`` does.
 
     Parameters
     ----------
@@ -263,29 +282,13 @@ def build_indicators(data: Dataset, selected_columns: list[str] | None = None) -
     for name in selected_columns:
         if name not in data.column_names:
             raise ColumnNotFoundError(name)
-
-    kept_cols = []
-    kept_names = []
-    kept_sources = []
-    dropped = []
-    for name in selected_columns:
-        mask = data.missing_mask(name)
-        frac = mask.mean() if mask.size else 0.0
-        if frac == 0.0:
-            dropped.append((name, "all cells observed"))
-        elif frac == 1.0:
-            dropped.append((name, "all cells missing"))
-        else:
-            kept_cols.append(mask.astype(np.uint8))
-            kept_names.append(f"{name}_miss")
-            kept_sources.append(name)
-    if not kept_cols:
+    ind = from_mask(np.column_stack([data.missing_mask(c) for c in selected_columns]), selected_columns)
+    if not ind.k:
         raise EmptyIndicatorError(
             "no selected column has both observed and missing cells; "
             "there is no missingness structure to analyze"
         )
-    values = np.column_stack(kept_cols)
-    return IndicatorMatrix(values, kept_names, kept_sources, dropped)
+    return ind
 
 
 def tabulate_patterns(ind: IndicatorMatrix, drop_fully_missing: bool = False) -> PatternTable:

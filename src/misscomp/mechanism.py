@@ -8,7 +8,6 @@ from indicators or covariates with logistic regression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 from scipy import special
@@ -37,7 +36,6 @@ class ScreenResult:
     n_group0: int = 0
     n_group1: int = 0
     n_excluded: int = 0
-    group_summaries: dict | None = None
 
 
 @dataclass
@@ -80,21 +78,17 @@ def _chi2_sf(x: float, df: float) -> float:
     return float(special.chdtrc(df, max(x, 0.0)))
 
 
-def _chi_square(
-    codes: np.ndarray, levels: list[str], flag: np.ndarray
-) -> tuple[float, float, float, dict]:
+def _chi_square(codes: np.ndarray, levels: list[str], flag: np.ndarray) -> tuple[float, float, float]:
     """Pearson chi-square of the table of the levels present in ``codes`` by flag."""
     table = np.bincount(2 * codes.astype(np.intp) + flag, minlength=2 * len(levels)).reshape(-1, 2)
-    seen = table.sum(axis=1) > 0
-    table = table[seen].astype(np.float64)
-    counts = {lv: [int(c) for c in row] for lv, row in zip(compress(levels, seen), table)}
+    table = table[table.sum(axis=1) > 0].astype(np.float64)
     table = table[:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
-        return np.nan, np.nan, np.nan, counts
+        return np.nan, np.nan, np.nan
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     stat = float(((table - expected) ** 2 / expected).sum())
     df = float((table.shape[0] - 1) * (table.shape[1] - 1))
-    return stat, df, _chi2_sf(stat, df), counts
+    return stat, df, _chi2_sf(stat, df)
 
 
 def _binary(values, what: str) -> np.ndarray:
@@ -133,27 +127,19 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
         g0, g1 = flag[observed] == 0, flag[observed] == 1
         n0, n1 = int(g0.sum()), int(g1.sum())
         stat = df = p = np.nan
-        reason, summaries = "", None
+        reason = ""
         if n0 < 2 or n1 < 2:
             reason = f"fewer than 2 observed values in a group (n0={n0}, n1={n1})"
         elif kind == NUMERIC:
             vals = data.column(name)[observed]
-            a, b = vals[g1], vals[g0]
-            stat, df, p = _welch(a, b)
-            summaries = {
-                "group0": {"n": n0, "mean": float(b.mean()), "sd": float(b.std(ddof=1))},
-                "group1": {"n": n1, "mean": float(a.mean()), "sd": float(a.std(ddof=1))},
-            }
+            stat, df, p = _welch(vals[g1], vals[g0])
         else:
             codes, levels = data.codes(name)
-            stat, df, p, counts = _chi_square(codes[observed], levels, flag[observed])
-            summaries = {"counts": counts}
+            stat, df, p = _chi_square(codes[observed], levels, flag[observed])
             if np.isnan(stat):
                 reason = "contingency table has a single populated row or column"
         test = WELCH_T if kind == NUMERIC else CHI_SQUARE
-        results.append(
-            ScreenResult(name, test, stat, df, p, not reason, reason, n0, n1, excluded, summaries)
-        )
+        results.append(ScreenResult(name, test, stat, df, p, not reason, reason, n0, n1, excluded))
     return results
 
 
@@ -348,8 +334,7 @@ class StratumResult:
     reason: str
     n: int
     screens: list[ScreenResult]
-    fits: list[LogisticFit]
-    fit_labels: list[str]
+    fit: LogisticFit | None  # None when the stratum is not testable or has no design
 
 
 def stratified_rerun(
@@ -362,10 +347,9 @@ def stratified_rerun(
 ) -> list[StratumResult]:
     """Repeat screens and logistic fits inside each stratum level.
 
-    ``design`` holds the predictors of the "multiple" fit, one row per row
-    of ``data`` and one column per name in ``design_names``; each stratum
-    fits its own rows of it, and no fit runs when ``design_names`` is
-    empty. Levels whose flag has a single class are reported not testable
+    ``design`` holds the predictors of the stratum fit, one row per row of
+    ``data`` and one column per name in ``design_names``; each stratum fits
+    its own rows of it, and no fit runs when ``design_names`` is empty. Levels whose flag has a single class are reported not testable
     rather than fitted. Rows with a missing stratum value are left out
     entirely. Strata are named and ordered by ``Dataset.codes``, so a
     numeric strata column gives levels such as "10.0" and "2.0", in that
@@ -384,15 +368,11 @@ def stratified_rerun(
         sub_flag = flag[rows]
         n = len(rows)
         if len(np.unique(sub_flag)) < 2:
-            out.append(StratumResult(level, False, "component flag has a single class", n, [], [], []))
+            out.append(StratumResult(level, False, "component flag has a single class", n, [], None))
             continue
         stratum_screens = screen(sub, sub_flag, variables)
-        fits = []
-        labels = []
-        if design_names:
-            fits.append(fit_logistic(sub_flag, design[rows], design_names))
-            labels.append("multiple")
-        out.append(StratumResult(level, True, "", n, stratum_screens, fits, labels))
+        fit = fit_logistic(sub_flag, design[rows], design_names) if design_names else None
+        out.append(StratumResult(level, True, "", n, stratum_screens, fit))
     return out
 
 

@@ -81,6 +81,16 @@ class RunConfig:
             raise ValueError(
                 "criterion 'auto' needs items_per_component_hint and expected_components_hint"
             )
+        if self.pa_reps < 1:
+            raise ValueError(f"pa_reps must be at least 1, got {self.pa_reps}")
+        if not 0.0 < self.pa_percentile < 1.0:
+            raise ValueError(f"pa_percentile must be in (0, 1), got {self.pa_percentile}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("items_per_component_hint", "expected_components_hint"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _parse_number(cell: str) -> float | None:
@@ -210,9 +220,12 @@ def _screening_dataset(data: Dataset, ind: IndicatorMatrix) -> Dataset:
 def analyze(config: RunConfig) -> AnalysisResult:
     """Run the full pipeline per the configuration.
 
-    Raises PipelineError with the failing step's label; a retention outcome
-    of zero components is not an error, the remaining steps are skipped
-    with that reason.
+    A configuration that fails ``RunConfig.validate`` raises ValueError
+    before the input is read. Past that, failures raise PipelineError with
+    the failing step's label; covariate and strata names, and the
+    covariates' numeric kind, are checked against the data right after
+    step 1. A retention outcome of zero components is not an error, the
+    remaining steps are skipped with that reason.
     """
     config.validate()
     steps: list[dict] = []
@@ -235,6 +248,17 @@ def analyze(config: RunConfig) -> AnalysisResult:
     except IngestError as exc:
         raise PipelineError("step1-indicators", str(exc)) from exc
     done("step1-indicators", f"{ind.k} indicator columns, {patterns.n_observed_patterns} patterns")
+    covariates = list(config.covariate_columns or [])
+    for name in covariates:
+        if name not in data.column_names:
+            raise PipelineError("step7-logistic", f"covariate column {name!r} not in dataset")
+    if covariates:
+        try:
+            cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])
+        except ValueError as exc:
+            raise PipelineError("step7-logistic", str(exc)) from exc
+    if config.strata_column and config.strata_column not in data.column_names:
+        raise PipelineError("step8-strata", f"strata column {config.strata_column!r} not in dataset")
 
     # step 2: correlation of indicators (repair to positive definite if needed)
     try:
@@ -292,15 +316,8 @@ def analyze(config: RunConfig) -> AnalysisResult:
     logistic_rows: list[tuple[str, str, str, LogisticFit]] = []
     strata_results: list[StratumResult] = []
     indicator_names = list(ind.column_names)
-    covariates = list(config.covariate_columns or [])
-    for name in covariates:
-        if name not in data.column_names:
-            raise PipelineError("step7-logistic", f"covariate column {name!r} not in dataset")
     if covariates:
-        try:
-            cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])[usable]
-        except ValueError as exc:
-            raise PipelineError("step7-logistic", str(exc)) from exc
+        cov = cov[usable]
         keep = np.isfinite(cov).all(axis=1)
 
     # (label, flags over the usable rows) of each component with both classes
@@ -341,8 +358,6 @@ def analyze(config: RunConfig) -> AnalysisResult:
 
     # step 8: stratified rerun
     if config.strata_column:
-        if config.strata_column not in data.column_names:
-            raise PipelineError("step8-strata", f"strata column {config.strata_column!r} not in dataset")
         n_unplaced = int(screen_data.missing_mask(config.strata_column).sum())
         if n_unplaced:
             notes.append(f"{n_unplaced} usable row(s) missing {config.strata_column!r} left out of strata")
@@ -360,8 +375,8 @@ def analyze(config: RunConfig) -> AnalysisResult:
                     notes.append(f"{label}: stratum {stratum_label} skipped ({res.reason})")
                 for s in res.screens:
                     screen_rows.append((label, stratum_label, s))
-                for fit_label, fit in zip(res.fit_labels, res.fits):
-                    logistic_rows.append((label, stratum_label, fit_label, fit))
+                if res.fit is not None:
+                    logistic_rows.append((label, stratum_label, "multiple", res.fit))
         done("step8-strata", f"{sum(r.testable for r in strata_results)} stratum rerun(s)")
     else:
         skipped("step8-strata", "no strata column configured")

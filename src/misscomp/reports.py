@@ -123,20 +123,15 @@ def write_retention_curves_csv(
     path: Path, decisions: dict[str, RetentionDecision], eigenvalues: np.ndarray
 ) -> None:
     """Per-position diagnostics: the observed spectrum against each
-    criterion's reference series (profile likelihood's reference is its
-    log-likelihood at the split position)."""
+    criterion's reference series, in CRITERIA order (profile likelihood's
+    reference is its log-likelihood at the split position, one fewer than
+    the eigenvalues)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["criterion", "position", "observed_eigenvalue", "reference_value"])
-        for j, ev in enumerate(eigenvalues, start=1):
-            w.writerow(["kaiser", j, _fmt(ev), _fmt(1.0)])
-        for crit in ("ekc", "parallel", "profile_likelihood"):
-            dec = decisions.get(crit)
-            if dec is None or dec.diagnostics is None:
-                continue
-            for j, ref in enumerate(dec.diagnostics, start=1):
-                observed = eigenvalues[j - 1] if j <= len(eigenvalues) else None
-                w.writerow([crit, j, _fmt(observed), _fmt(ref)])
+        for crit in CRITERIA:
+            for j, (ev, ref) in enumerate(zip(eigenvalues, decisions[crit].diagnostics), start=1):
+                w.writerow([crit, j, _fmt(ev), _fmt(ref)])
 
 
 def write_screens_csv(path: Path, rows: list[tuple[str, str, ScreenResult]]) -> None:
@@ -248,7 +243,7 @@ def write_scores_csv(path: Path, scores: ComponentScores) -> None:
             row = [i + 1]
             for j in range(q):
                 row += [_fmt(scores.scores[i, j]), int(scores.dichotomized[i, j])]
-            row.append(bool(scores.fully_missing[i]) if scores.fully_missing.size else False)
+            row.append(bool(scores.fully_missing[i]))
             w.writerow(row)
 
 
@@ -322,10 +317,9 @@ def solution_summary(sol: EigenSolution) -> dict:
         "eigenvalues": [round(float(v), 10) for v in sol.eigenvalues],
     }
     if sol.method == "paf":
-        comm = sol.communalities if sol.communalities is not None else []
         out.update(
             heywood=sol.heywood,
             smc_fallback=sol.smc_fallback,
-            communalities=[round(float(h), 10) for h in comm],
+            communalities=[round(float(h), 10) for h in sol.communalities],
         )
     return out

@@ -24,7 +24,7 @@ PL_VARIANCE_FLOOR = 1e-12
 class RetentionDecision:
     criterion: str
     k_retained: int
-    diagnostics: np.ndarray | None = None
+    diagnostics: np.ndarray  # the reference series the criterion read, by position
     converged: bool = True
 
 
@@ -47,7 +47,7 @@ def _leading_run(e: np.ndarray, refs: np.ndarray | float) -> int:
 def kaiser(eigenvalues: np.ndarray) -> RetentionDecision:
     """Retain components with eigenvalue strictly greater than 1."""
     e = _validate_spectrum(eigenvalues)
-    return RetentionDecision(KAISER, _leading_run(e, 1.0))
+    return RetentionDecision(KAISER, _leading_run(e, 1.0), np.ones(len(e)))
 
 
 def ekc(eigenvalues: np.ndarray, n: int, k: int) -> RetentionDecision:
@@ -66,7 +66,7 @@ def ekc(eigenvalues: np.ndarray, n: int, k: int) -> RetentionDecision:
     edge = (1.0 + math.sqrt(k / n)) ** 2
     used = np.concatenate(([0.0], np.cumsum(e[:-1])))
     refs = np.maximum(edge * (k - used) / (k - np.arange(k)), 1.0)
-    return RetentionDecision(EKC, _leading_run(e, refs), diagnostics=refs)
+    return RetentionDecision(EKC, _leading_run(e, refs), refs)
 
 
 def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
@@ -125,7 +125,7 @@ def parallel_analysis(
         raise ValueError("percentile must be in (0, 1)")
     spectra = _permutation_null(ind, reps, seed)
     refs = np.quantile(spectra, percentile, axis=0, method="linear")
-    return RetentionDecision(PARALLEL, _leading_run(e, refs), diagnostics=refs)
+    return RetentionDecision(PARALLEL, _leading_run(e, refs), refs)
 
 
 def profile_loglik_curve(eigenvalues: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def profile_likelihood(eigenvalues: np.ndarray) -> RetentionDecision:
     """
     curve = profile_loglik_curve(eigenvalues)
     best = int(np.argmax(curve)) + 1
-    return RetentionDecision(PROFILE_LIKELIHOOD, best, diagnostics=curve)
+    return RetentionDecision(PROFILE_LIKELIHOOD, best, curve)
 
 
 def decide(

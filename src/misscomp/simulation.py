@@ -20,7 +20,7 @@ from scipy.special import ndtri
 from . import correlation, extraction, retention
 from .correlation import PEARSON, TETRACHORIC, EstimationError
 from .extraction import PAF, PCA
-from .indicators import IndicatorMatrix
+from .indicators import IndicatorMatrix, from_mask
 from .retention import CRITERIA
 
 WITHIN_CORR = 0.7
@@ -131,22 +131,9 @@ def sample_latent(cond: SimCondition, rng: np.random.Generator) -> np.ndarray:
 
 
 def _indicators_from_latent(cond: SimCondition, rng: np.random.Generator) -> IndicatorMatrix:
-    z = sample_latent(cond, rng)
-    threshold = float(ndtri(1.0 - cond.p_miss))
-    values = (z > threshold).astype(np.uint8)
     width = len(str(cond.k))
     names = [f"v{j + 1:0{width}d}" for j in range(cond.k)]
-    marg = values.mean(axis=0)
-    keep = (marg > 0.0) & (marg < 1.0)
-    dropped = [
-        (names[j], "sampled indicator has no variance") for j in range(cond.k) if not keep[j]
-    ]
-    return IndicatorMatrix(
-        values[:, keep],
-        [f"{names[j]}_miss" for j in range(cond.k) if keep[j]],
-        [names[j] for j in range(cond.k) if keep[j]],
-        dropped,
-    )
+    return from_mask(sample_latent(cond, rng) > ndtri(1.0 - cond.p_miss), names)
 
 
 def generate(cond: SimCondition, seed: int) -> IndicatorMatrix:
@@ -156,20 +143,19 @@ def generate(cond: SimCondition, seed: int) -> IndicatorMatrix:
 
 def _replication_decisions(
     cond: SimCondition, gen_rng: np.random.Generator, pa_seed: int
-) -> dict[str, retention.RetentionDecision | None]:
+) -> dict[str, retention.RetentionDecision] | None:
     """All four retention decisions for one replication, reached as ``analyze`` reaches them.
 
-    Returns None for all four criteria when a failure ahead of them
-    (degenerate indicators, pairwise estimation failure) leaves nothing to
-    decide on.
+    Returns None when a failure ahead of them (degenerate indicators,
+    pairwise estimation failure) leaves nothing to decide on.
     """
     ind = _indicators_from_latent(cond, gen_rng)
     if ind.dropped_columns:
-        return dict.fromkeys(CRITERIA)
+        return None
     try:
         corr = correlation.correlate(ind, cond.corr_kind)
     except (EstimationError, ValueError):
-        return dict.fromkeys(CRITERIA)
+        return None
     return retention.decide(ind, extraction.spectrum(corr, cond.method), pa_seed)
 
 
@@ -179,26 +165,25 @@ def run_condition(cond: SimCondition, reps: int, seed: int) -> CellResult:
     Replication r draws its generator stream from (seed, condition key, r),
     so any scheduling of conditions or replications reproduces the same
     numbers. Replications that fail to produce a decision are excluded
-    from that criterion's denominator.
+    from every criterion's denominator.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    converged = {c: 0 for c in CRITERIA}
-    correct = {c: 0 for c in CRITERIA}
+    decided = 0
+    correct = dict.fromkeys(CRITERIA, 0)
     for rep in range(reps):
         ss = np.random.SeedSequence((seed, *cond.key(), rep))
         gen_ss, pa_ss = ss.spawn(2)
         pa_seed = int(pa_ss.generate_state(1, np.uint64)[0])
         decisions = _replication_decisions(cond, np.random.default_rng(gen_ss), pa_seed)
+        if decisions is None:
+            continue
+        decided += 1
         for crit, decision in decisions.items():
-            if decision is None:
-                continue
-            converged[crit] += 1
-            if decision.k_retained == cond.n_components:
-                correct[crit] += 1
-    return CellResult(cond, reps, converged, correct)
+            correct[crit] += decision.k_retained == cond.n_components
+    return CellResult(cond, reps, dict.fromkeys(CRITERIA, decided), correct)
 
 
 def _run_cell(args: tuple[SimCondition, int, int]) -> CellResult:

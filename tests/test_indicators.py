@@ -196,6 +196,13 @@ class TestPatternTable:
         # percent base shrinks with the dropped row
         assert kept.percent_base == 3
 
+    def test_fortran_ordered_values_tabulate_as_their_c_copy(self, rng):
+        # more than 8 columns, so each row packs into a multi-byte key
+        values = (rng.random((60, 11)) < 0.4).astype(np.uint8)
+        names = [f"v{j}" for j in range(11)]
+        fortran = IndicatorMatrix(np.asfortranarray(values), names, names)
+        assert tabulate_patterns(fortran) == tabulate_patterns(IndicatorMatrix(values, names, names))
+
     def test_no_indicator_columns_rejected(self):
         with pytest.raises(EmptyIndicatorError):
             tabulate_patterns(IndicatorMatrix(np.zeros((4, 0), dtype=np.uint8), [], []))

@@ -201,6 +201,15 @@ class TestIngest:
             ingest(tmp_path / "nope.csv")
 
 
+def stop_at_step2(monkeypatch):
+    """Make step 2 fail loudly, so an error raised before it shows as itself."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("step 2 ran")
+
+    monkeypatch.setattr(misscomp.correlation, "correlate", unreachable)
+
+
 class TestRunConfig:
     def test_defaults_validate(self, synthetic_csv):
         RunConfig(input_path=synthetic_csv).validate()
@@ -215,6 +224,18 @@ class TestRunConfig:
             (
                 {"criterion": "auto", "items_per_component_hint": 5},
                 "auto",
+            ),
+            ({"pa_reps": 0}, "pa_reps"),
+            ({"pa_percentile": 1.5}, "pa_percentile"),
+            ({"pa_percentile": 0.0}, "pa_percentile"),
+            ({"seed": -3}, "seed"),
+            (
+                {"criterion": "auto", "items_per_component_hint": 0, "expected_components_hint": 3},
+                "items_per_component_hint",
+            ),
+            (
+                {"criterion": "auto", "items_per_component_hint": 5, "expected_components_hint": 0},
+                "expected_components_hint",
             ),
         ],
     )
@@ -334,19 +355,22 @@ class TestAnalyze:
             analyze(RunConfig(input_path=path))
         assert err.value.step == "step2-correlation"
 
-    def test_unknown_covariate_is_step7_error(self, synthetic_csv):
+    def test_unknown_covariate_is_step7_error(self, synthetic_csv, monkeypatch):
+        stop_at_step2(monkeypatch)
         config = RunConfig(input_path=synthetic_csv, seed=1, covariate_columns=["nope"])
-        with pytest.raises(PipelineError) as err:
+        with pytest.raises(PipelineError, match=r"^covariate column 'nope' not in dataset$") as err:
             analyze(config)
         assert err.value.step == "step7-logistic"
 
-    def test_unknown_strata_column_is_step8_error(self, synthetic_csv):
+    def test_unknown_strata_column_is_step8_error(self, synthetic_csv, monkeypatch):
+        stop_at_step2(monkeypatch)
         config = RunConfig(input_path=synthetic_csv, seed=1, strata_column="nope")
-        with pytest.raises(PipelineError) as err:
+        with pytest.raises(PipelineError, match=r"^strata column 'nope' not in dataset$") as err:
             analyze(config)
         assert err.value.step == "step8-strata"
 
-    def test_categorical_covariate_is_step7_error(self, synthetic_csv):
+    def test_categorical_covariate_is_step7_error(self, synthetic_csv, monkeypatch):
+        stop_at_step2(monkeypatch)
         config = RunConfig(input_path=synthetic_csv, seed=123, covariate_columns=["site"])
         with pytest.raises(PipelineError, match=r"^column 'site' is categorical; covariates must be numeric$") as err:
             analyze(config)

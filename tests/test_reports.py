@@ -9,9 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from misscomp import reports
+from misscomp import correlation, extraction, reports
 from misscomp.extraction import ComponentScores, EigenSolution
-from misscomp.indicators import PatternRow, PatternTable, build_indicators, tabulate_patterns
+from misscomp.indicators import (
+    IndicatorMatrix,
+    PatternRow,
+    PatternTable,
+    build_indicators,
+    tabulate_patterns,
+)
 from misscomp.mechanism import LogisticFit, ScreenResult
 from misscomp.retention import (
     CRITERIA,
@@ -20,6 +26,7 @@ from misscomp.retention import (
     PARALLEL,
     PROFILE_LIKELIHOOD,
     RetentionDecision,
+    decide,
 )
 from misscomp.simulation import SimCondition, run_grid
 
@@ -150,7 +157,7 @@ class TestRetentionWriters:
     def decisions(self):
         ev = np.array([2.0, 1.1, 0.5, 0.4])
         return {
-            KAISER: RetentionDecision(KAISER, 2),
+            KAISER: RetentionDecision(KAISER, 2, diagnostics=np.ones(4)),
             EKC: RetentionDecision(EKC, 2, diagnostics=np.array([1.2, 1.0, 1.0, 1.0])),
             PARALLEL: RetentionDecision(PARALLEL, 1, diagnostics=np.array([1.3, 1.2, 1.1, 1.05])),
             PROFILE_LIKELIHOOD: RetentionDecision(
@@ -186,12 +193,18 @@ class TestRetentionWriters:
         assert [r[1] for r in pl_rows] == ["1", "2", "3"]
         assert pl_rows[0][3] == "-3.000000"
 
-    def test_curves_csv_skips_missing_diagnostics(self, tmp_path, decisions):
-        dec, ev = decisions
-        dec[EKC] = RetentionDecision(EKC, 2, diagnostics=None)
+    def test_curves_csv_of_decide_has_every_series_in_order(self, tmp_path, rng):
+        values = (rng.random((300, 6)) < 0.3).astype(np.uint8)
+        ind = IndicatorMatrix(values, [f"v{j}_miss" for j in range(6)], [f"v{j}" for j in range(6)])
+        ev = extraction.spectrum(correlation.correlate(ind, correlation.PEARSON), extraction.PCA)
         path = tmp_path / "curves.csv"
-        reports.write_retention_curves_csv(path, dec, ev)
-        assert not [r for r in read_csv(path)[1:] if r[0] == "ekc"]
+        reports.write_retention_curves_csv(path, decide(ind, ev, seed=5, reps=20), ev)
+        rows = read_csv(path)[1:]
+        # k rows for each full-length reference, k - 1 for the split positions
+        expect = [(c, j) for c in CRITERIA for j in range(1, 7 if c != PROFILE_LIKELIHOOD else 6)]
+        assert [(r[0], int(r[1])) for r in rows] == expect
+        assert [r[2] for r in rows[:6]] == [f"{v:.6f}" for v in ev]
+        assert all(r[3] == "1.000000" for r in rows[:6])
 
 
 def make_screen(variable="age", testable=True):
@@ -206,7 +219,6 @@ def make_screen(variable="age", testable=True):
         n_group0=6,
         n_group1=6,
         n_excluded=1,
-        group_summaries=None,
     )
 
 
@@ -283,7 +295,6 @@ class TestScoresCsv:
         scores = ComponentScores(
             scores=np.array([[0.5, -1.0], [np.nan, 0.0], [1.5, 2.0]]),
             dichotomized=np.array([[1, 0], [0, 0], [1, 1]], dtype=np.uint8),
-            cutoff=0.0,
             orientation=np.array([1, -1]),
             fully_missing=np.array([False, True, False]),
         )

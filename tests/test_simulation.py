@@ -2,11 +2,12 @@ import csv
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from misscomp import simulation
 from misscomp.correlation import PEARSON, TETRACHORIC
 from misscomp.extraction import PAF, PCA
+from misscomp.indicators import Dataset, build_indicators, tabulate_patterns
 from misscomp.pipeline import RunConfig, analyze
 from misscomp.retention import CRITERIA, EKC, KAISER, PARALLEL, PROFILE_LIKELIHOOD
 from misscomp.simulation import (
@@ -84,6 +85,32 @@ class TestGenerator:
         a = generate(cond, seed=5)
         b = generate(cond, seed=5)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_generated_indicators_tabulate(self):
+        table = tabulate_patterns(generate(SimCondition(3, 5, 250, 0.25), seed=3))
+        assert sum(r.count for r in table.rows) == 250
+
+    @pytest.mark.parametrize(
+        "cond, seed, dropped",
+        [
+            (SimCondition(3, 5, 250, 0.25), 3, []),
+            (SimCondition(1, 3, 5, 0.1), 0, [("v3", "all cells observed")]),
+            (SimCondition(1, 3, 5, 0.9), 1, [("v2", "all cells missing"), ("v3", "all cells missing")]),
+        ],
+    )
+    def test_build_indicators_on_the_generated_mask_matches_generate(self, cond, seed, dropped):
+        ind = generate(cond, seed)
+        assert ind.dropped_columns == dropped
+        # every column's mask, dropped ones included, redrawn from generate's stream
+        z = sample_latent(cond, np.random.default_rng(np.random.SeedSequence(seed)))
+        mask = z > ndtri(1.0 - cond.p_miss)
+        names = [f"v{j + 1:0{len(str(cond.k))}d}" for j in range(cond.k)]
+        data = Dataset(names, [np.where(m, np.nan, 0.0) for m in mask.T], [None] * cond.k)
+        built = build_indicators(data)
+        np.testing.assert_array_equal(built.values, ind.values)
+        assert built.column_names == ind.column_names
+        assert built.source_columns == ind.source_columns
+        assert built.dropped_columns == ind.dropped_columns
 
 
 class TestRunCondition:
