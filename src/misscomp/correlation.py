@@ -3,9 +3,10 @@
 Pearson (phi) treats the 0/1 indicators as scores; tetrachoric assumes each
 indicator dichotomizes a latent standard normal. The thresholds come from
 each 2x2 table's own margins, which makes the one-parameter likelihood
-saturated: its maximum is the root of Phi2(h, k, rho) = n11/N. Every pair's
-root is found at once by safeguarded Newton steps, since dPhi2/drho is the
-bivariate normal density (Plackett 1954).
+saturated: its maximum is the root of Phi2(h, k, rho) = n11/N. Phi2 comes
+from Owen's T function (Owen 1956). Every pair's root is found at once by
+safeguarded Newton steps, since dPhi2/drho is the bivariate normal density
+(Plackett 1954).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from .indicators import IndicatorMatrix, cooccurrence, phi
 
@@ -27,11 +28,6 @@ RHO_TOL = 1e-12
 # Bisection alone closes the bracket to RHO_TOL in 41 steps; this cap only
 # stops a row whose arithmetic has gone wrong.
 MAX_ITERATIONS = 200
-
-# Genz's |rho| bands: Gauss-Legendre with 6, 12 and 20 nodes below each
-# edge, then a series with the 20-node rule from the last edge to 1.
-_BAND_EDGES = (0.3, 0.75, 0.925)
-_GL = [np.polynomial.legendre.leggauss(n) for n in (6, 12, 20)]
 
 
 class EstimationError(RuntimeError):
@@ -57,89 +53,35 @@ class CorrelationMatrix:
 def bvn_upper(h, k, rho):
     """P(X > h, Y > k) for standard bivariate normal with correlation rho.
 
-    Port of Genz's BVND quadrature/series scheme over arrays: the inputs
-    broadcast together, and each |rho| band (< 0.3, < 0.75, < 0.925,
-    >= 0.925) is evaluated under its own mask. Infinite thresholds, rho = 0
-    and rho = +-1 are exact. Scalar input gives a Python float. Absolute
-    accuracy is far inside the 1e-10 the tetrachoric root needs.
+    Owen's (1956) closed form in his T function: with x = -h, y = -k and
+    s = sqrt(1 - rho^2),
+
+        P = (Phi(x) + Phi(y))/2 - T(x, (y/x - rho)/s) - T(y, (x/y - rho)/s) - beta,
+
+    where beta = 1/2 when exactly one of x, y is negative, else 0. Where
+    x = y, both T arguments take their common limit (1 - rho)/s, which is
+    finite at x = y = 0. The inputs broadcast together; infinite thresholds
+    and rho = +-1 are exact. Scalar input gives a Python float.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (h, k, rho)))
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (h, k, rho)))
     shape = arrays[0].shape
     h, k, rho = (a.ravel() for a in arrays)
-    out = np.empty(h.shape)
+    # 0.0 - h, not -h: h = 0.0 must give x = +0.0, or T's infinite argument flips sign
+    x, y = 0.0 - h, 0.0 - k
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        edge = np.isinf(h) | np.isinf(k)
-        out[edge] = np.where(
-            (h[edge] == math.inf) | (k[edge] == math.inf),
-            0.0,
-            np.where(h[edge] == -math.inf, ndtr(-k[edge]), ndtr(-h[edge])),
-        )
-        indep = ~edge & (rho == 0.0)
-        out[indep] = ndtr(-h[indep]) * ndtr(-k[indep])
-        rest = ~edge & ~indep
-        band = np.searchsorted(_BAND_EDGES, np.abs(rho), side="right")
-        for b, (nodes, weights) in enumerate(_GL):
-            sel = rest & (band == b)
-            out[sel] = _bvn_quadrature(h[sel], k[sel], rho[sel], nodes, weights)
-        sel = rest & (band == len(_BAND_EDGES))
-        out[sel] = _bvn_tail(h[sel], k[sel], rho[sel])
+        s = np.sqrt((1.0 - rho) * (1.0 + rho))
+        same = x == y
+        ax = np.where(same, (1.0 - rho) / s, (y / x - rho) / s)
+        ay = np.where(same, ax, (x / y - rho) / s)
+        beta = np.where((x < 0.0) != (y < 0.0), 0.5, 0.0)
+        out = 0.5 * (ndtr(x) + ndtr(y)) - owens_t(x, ax) - owens_t(y, ay) - beta
+    out = np.where(rho == 1.0, ndtr(np.minimum(x, y)), out)
+    out = np.where(rho == -1.0, ndtr(y) - ndtr(-x), out)
+    edge = np.where(x == math.inf, ndtr(y), ndtr(x))
+    edge[(x == -math.inf) | (y == -math.inf)] = 0.0
+    out = np.where(np.isinf(x) | np.isinf(y), edge, out)
     np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if not shape else out.reshape(shape)
-
-
-def _bvn_quadrature(h, k, rho, nodes, weights):
-    """Genz's |rho| < 0.925 branch: Gauss-Legendre over asin(rho)."""
-    hk = h * k
-    hs = (h * h + k * k) / 2.0
-    asr = np.arcsin(rho)
-    sn = np.sin(asr[:, None] * (nodes + 1.0) / 2.0)
-    bvn = np.sum(weights * np.exp((sn * hk[:, None] - hs[:, None]) / (1.0 - sn * sn)), axis=1)
-    return bvn * asr / (4.0 * math.pi) + ndtr(-h) * ndtr(-k)
-
-
-def _bvn_tail(h, k, rho):
-    """Genz's |rho| >= 0.925 branch: series in sqrt(1 - rho^2) plus a
-    corrective quadrature; |rho| = 1 keeps only the limiting tail term."""
-    nodes, weights = _GL[-1]
-    neg = rho < 0.0
-    k = np.where(neg, -k, k)
-    hk = h * k
-    bvn = np.zeros(h.shape)
-    inner = np.abs(rho) < 1.0
-    if inner.any():
-        hi, ki, hki, ri = h[inner], k[inner], hk[inner], rho[inner]
-        a_sq = (1.0 - ri) * (1.0 + ri)
-        a = np.sqrt(a_sq)
-        bs = (hi - ki) ** 2
-        c = (4.0 - hki) / 8.0
-        d = (12.0 - hki) / 16.0
-        asr = -(bs / a_sq + hki) / 2.0
-        series = np.where(
-            asr > -100.0,
-            a * np.exp(asr)
-            * (1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0 + c * d * a_sq * a_sq / 5.0),
-            0.0,
-        )
-        b = np.sqrt(bs)
-        series -= np.where(
-            -hki < 100.0,
-            np.exp(-hki / 2.0) * math.sqrt(2.0 * math.pi) * ndtr(-b / a) * b
-            * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
-            0.0,
-        )
-        half = a / 2.0
-        xs = (half[:, None] * (nodes + 1.0)) ** 2
-        asr_v = -(bs[:, None] / xs + hki[:, None]) / 2.0
-        rs = np.sqrt(1.0 - xs)
-        sp = 1.0 + c[:, None] * xs * (1.0 + d[:, None] * xs)
-        ep = np.exp(-hki[:, None] * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-        terms = np.where(asr_v > -100.0, weights * np.exp(asr_v) * (ep - sp), 0.0)
-        bvn[inner] = -(series + half * np.sum(terms, axis=1)) / (2.0 * math.pi)
-    return np.where(
-        neg,
-        -bvn + np.where(k > h, ndtr(k) - ndtr(h), 0.0),
-        bvn + ndtr(-np.maximum(h, k)),
-    )
 
 
 def _bvn_density(h, k, rho):

@@ -144,7 +144,7 @@ class IndicatorMatrix:
         vals = np.asarray(self.values)
         if vals.ndim != 2:
             raise ValueError("indicator values must be two-dimensional")
-        if not np.isin(vals, (0, 1)).all():
+        if vals.dtype != bool and not np.isin(vals, (0, 1)).all():
             raise ValueError("indicator entries must be 0 or 1")
         self.values = np.ascontiguousarray(vals, dtype=np.uint8)
         marg = self.marginals

@@ -349,11 +349,11 @@ def stratified_rerun(
 
     ``design`` holds the predictors of the stratum fit, one row per row of
     ``data`` and one column per name in ``design_names``; each stratum fits
-    its own rows of it, and no fit runs when ``design_names`` is empty. Levels whose flag has a single class are reported not testable
-    rather than fitted. Rows with a missing stratum value are left out
-    entirely. Strata are named and ordered by ``Dataset.codes``, so a
-    numeric strata column gives levels such as "10.0" and "2.0", in that
-    order.
+    its own rows of it, and no fit runs when ``design_names`` is empty.
+    Levels whose flag has a single class are reported not testable rather
+    than fitted. Rows with a missing stratum value are left out entirely.
+    Strata are named and ordered by ``Dataset.codes``, so a numeric strata
+    column gives levels such as "10.0" and "2.0", in that order.
     """
     flag = _binary(component_flag, "component_flag")
     codes, names = data.codes(strata)

@@ -111,8 +111,9 @@ class TestBvnUpper:
             ), (h, k, rho)
 
     def test_array_call_against_quadrature_oracle(self):
-        # one call spanning every |rho| band, both signs, rho = 0 and +-1,
-        # and infinite thresholds
+        # one call spanning rho of both signs, rho = 0 and +-1, infinite
+        # thresholds, and the limits in Owen's formula: a zero threshold of
+        # either sign, h = k, the origin and subnormal thresholds
         oracle = quadrature_oracle()
         rhos = [0.0, 0.1, -0.2, 0.5, -0.6, 0.8, -0.9, 0.93, -0.97, 0.999, 1.0, -1.0]
         thresholds = [(-0.4, 1.1), (-1.7, -0.6)]
@@ -120,6 +121,11 @@ class TestBvnUpper:
         inf = np.inf
         cases += [(inf, 0.3, 0.5), (-0.2, inf, -0.5), (-inf, 0.7, 0.4), (0.9, -inf, -0.95),
                   (-inf, -inf, 0.2), (-inf, 1.2, 1.0)]
+        cases += [(0.0, -1.0, 0.5), (-0.0, -1.0, -0.5), (0.0, 0.8, -0.7), (-0.0, 0.8, 0.7),
+                  (-0.9, 0.0, 0.6), (1.3, -0.0, -0.4)]
+        cases += [(0.6, 0.6, 0.4), (-1.1, -1.1, -0.8)]
+        cases += [(0.0, 0.0, -0.9), (-0.0, -0.0, -0.3), (0.0, -0.0, 0.3), (0.0, 0.0, 0.95)]
+        cases += [(5e-324, -0.4, 0.6), (-0.7, -5e-324, -0.95), (5e-324, 5e-324, 0.2)]
         h, k, rho = (np.array(col) for col in zip(*cases))
         got = bvn_upper(h, k, rho)
         assert isinstance(got, np.ndarray) and got.shape == h.shape
@@ -258,6 +264,15 @@ class TestTetrachoric:
             h = ndtri(1.0 - (t[0, 0] + t[0, 1]) / total)
             k = ndtri(1.0 - (t[0, 0] + t[1, 0]) / total)
             assert oracle(h, k, est) == pytest.approx(t[0, 0] / total, abs=1e-10), t
+        # a rare column, 1 one in 200000 rows: the target n11 / N is 7.5e-6,
+        # so hold the root to a relative tolerance
+        est = tetrachoric_from_table(np.array([[1.0, 0.0], [3000.0, 196999.0]]))
+        assert abs(est) < RHO_BOUND
+        t = np.array([[1.5, 0.5], [3000.5, 196999.5]])
+        total = t.sum()
+        h = ndtri(1.0 - (t[0, 0] + t[0, 1]) / total)
+        k = ndtri(1.0 - (t[0, 0] + t[1, 0]) / total)
+        assert oracle(h, k, est) == pytest.approx(t[0, 0] / total, rel=1e-9, abs=0.0)
 
     def test_target_past_bound_returns_bound_exactly(self):
         # corrected [[50.5, 0.5], [0.5, 50.5]]: n11 / N = 0.495 beats Phi2(0, 0, 0.999)

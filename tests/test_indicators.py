@@ -155,6 +155,23 @@ class TestBuildIndicators:
         assert ind.fully_missing_rows.tolist() == [True, False, False]
 
 
+class TestIndicatorMatrix:
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            (np.array([0, 1, 1, 0]), "two-dimensional"),
+            (np.array([[0, 1], [2, 0], [1, 1]]), "0 or 1"),
+            (np.array([[0, 1], [0.5, 0], [1, 1]]), "0 or 1"),
+            (np.array([[0, 1], [0, 0], [0, 1]]), "marginal"),
+            (np.array([[1, 1], [1, 0], [1, 1]], dtype=bool), "marginal"),
+        ],
+    )
+    def test_invalid_values_rejected(self, values, match):
+        names = [f"v{j}" for j in range(values.shape[-1])]
+        with pytest.raises(ValueError, match=match):
+            IndicatorMatrix(values, names, names)
+
+
 class TestPatternTable:
     def test_counts_and_order(self, small_dataset):
         ind = build_indicators(small_dataset)

@@ -685,11 +685,14 @@ def _declared_console_script():
     """The ``module:attr`` target of ``misscomp`` under ``[project.scripts]``."""
     try:
         import tomllib
-    except ModuleNotFoundError:  # Python < 3.11: read the installed distribution's metadata
-        from importlib.metadata import entry_points
+    except ModuleNotFoundError:  # Python < 3.11
+        try:
+            import tomli as tomllib
+        except ModuleNotFoundError:  # read the installed distribution's metadata
+            from importlib.metadata import entry_points
 
-        (script,) = entry_points(group="console_scripts", name="misscomp")
-        return script.value
+            (script,) = entry_points(group="console_scripts", name="misscomp")
+            return script.value
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         return tomllib.load(fh)["project"]["scripts"]["misscomp"]
 
