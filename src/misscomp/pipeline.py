@@ -10,7 +10,10 @@ failed.
 from __future__ import annotations
 
 import csv
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from . import correlation, extraction, mechanism, reports, retention
 from .correlation import PEARSON, TETRACHORIC
 from .extraction import PAF, PCA
 from .indicators import (
+    SCRATCH_ENTRIES,
     Dataset,
     IndicatorMatrix,
     PatternTable,
@@ -42,6 +46,13 @@ class PipelineError(RuntimeError):
     def __init__(self, step: str, message: str):
         super().__init__(message)
         self.step = step
+
+
+def _delimiter_error(delimiter) -> str | None:
+    """Why ``delimiter`` cannot split the rows of a CSV file, or None if it can."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in "\r\n":
+        return f"delimiter must be one character other than CR or LF, got {delimiter!r}"
+    return None
 
 
 @dataclass
@@ -85,6 +96,9 @@ class RunConfig:
             raise ValueError(f"pa_reps must be at least 1, got {self.pa_reps}")
         if not 0.0 < self.pa_percentile < 1.0:
             raise ValueError(f"pa_percentile must be in (0, 1), got {self.pa_percentile}")
+        problem = _delimiter_error(self.delimiter)
+        if problem:
+            raise ValueError(problem)
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for name in ("items_per_component_hint", "expected_components_hint"):
@@ -93,12 +107,112 @@ class RunConfig:
                 raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _parse_number(cell: str) -> float | None:
-    """The cell's value, non-finite ones included, or None if it is no number."""
+class _ColumnChunks:
+    """One column's cells as the file streams past, parsed chunk by chunk.
+
+    A chunk takes the numeric fast path: strip, send sentinels to NaN,
+    apply ``float``. When ``float`` raises, the chunk falls back to parsing
+    each distinct token once, non-numbers becoming NaN, and from then on
+    the column also keeps its stripped cells, which it needs if it ends
+    categorical.
+    """
+
+    def __init__(self):
+        self.values: list[np.ndarray] = []  # float64, NaN where missing or no number
+        self.cells: list[str] | None = None  # stripped cells from fallback_row on
+        self.tokens: dict[str, str] = {}  # one string object per distinct kept cell
+        self.fallback_row = 0
+        self.n_present = 0
+        self.n_numeric = 0
+        self.non_finite: tuple[int, str] | None = None  # first (row index, token)
+
+    def add(self, raw: tuple[str, ...], start: int, sentinels: set[str]) -> None:
+        """Parse the cells of data rows ``start``, ``start + 1``, ..."""
+        cells = list(map(str.strip, raw))
+        numbers = None
+        try:
+            values = [np.nan if c in sentinels else float(c) for c in cells]
+            # count matches that one NaN object by identity, never a parsed nan
+            n_missing = values.count(np.nan)
+            n_numeric = len(cells) - n_missing
+        except ValueError:
+            if self.cells is None:
+                self.cells, self.fallback_row = [], start
+            counts = Counter(cells)
+            numbers = {}
+            for token in counts.keys() - sentinels:
+                try:
+                    numbers[token] = float(token)
+                except ValueError:
+                    pass
+            values = [numbers.get(c, np.nan) for c in cells]
+            n_missing = sum(counts[c] for c in sentinels)
+            n_numeric = sum(counts[c] for c in numbers)
+        if self.cells is not None:
+            self.cells += map(self.tokens.setdefault, cells, cells)
+        values = np.array(values, dtype=np.float64)
+        self.values.append(values)
+        self.n_present += len(cells) - n_missing
+        self.n_numeric += n_numeric
+        # every missing cell and non-number is NaN, so any further
+        # non-finite value is a number
+        non_finite = ~np.isfinite(values)
+        if self.non_finite is None and np.count_nonzero(non_finite) > len(cells) - n_numeric:
+            for i in np.flatnonzero(non_finite):
+                if cells[i] not in sentinels and (numbers is None or cells[i] in numbers):
+                    self.non_finite = (start + i, cells[i])
+                    break
+
+
+@contextmanager
+def _csv_rows(path: Path, delimiter: str):
+    """A csv reader over the file; failing to open or decode it is an IngestError."""
     try:
-        return float(cell)
-    except ValueError:
-        return None
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield csv.reader(fh, delimiter=delimiter)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+
+
+def _stream_columns(
+    path: Path, sentinels: set[str], delimiter: str
+) -> tuple[list[str], list[_ColumnChunks]]:
+    """The header and every column's parsed chunks, reading at most
+    ``SCRATCH_ENTRIES`` cells at a time."""
+    with _csv_rows(path, delimiter) as rows:
+        first = next(rows, None)
+        if first is None:
+            raise IngestError(f"{path} is empty: no header row")
+        header = [h.strip() for h in first]
+        if any(not h for h in header):
+            raise IngestError(f"{path}: header has an empty column name")
+        if len(set(header)) != len(header):
+            raise IngestError(f"{path}: duplicate column names in header")
+        width = len(header)
+        columns = [_ColumnChunks() for _ in header]
+        step = max(1, SCRATCH_ENTRIES // max(width, 1))
+        start = 0
+        while chunk := list(islice(rows, step)):
+            for lineno, row in enumerate(chunk, start=start + 2):
+                if len(row) != width:
+                    raise IngestError(f"{path}: row {lineno} has {len(row)} cells, header has {width}")
+            for column, raw in zip(columns, zip(*chunk)):
+                column.add(raw, start, sentinels)
+            start += len(chunk)
+            del chunk  # freed before the next one is read
+    return header, columns
+
+
+def _leading_cells(path: Path, delimiter: str, stops: dict[int, int]) -> dict[int, list[str]]:
+    """The stripped cells of column j in the first ``stops[j]`` data rows, for each j."""
+    cells: dict[int, list[str]] = {j: [] for j in stops}
+    with _csv_rows(path, delimiter) as rows:
+        next(rows)
+        for i, row in enumerate(islice(rows, max(stops.values()))):
+            for j, stop in stops.items():
+                if i < stop:
+                    cells[j].append(row[j].strip())
+    return cells
 
 
 def ingest(
@@ -121,51 +235,43 @@ def ingest(
     dropped, so it never becomes part of the first column name. Rows end
     only at CR or LF outside quotes, so a quoted newline or a Unicode line
     separator stays inside its cell.
+
+    The rows are read in chunks of ``SCRATCH_ENTRIES`` cells, so besides
+    one chunk ingest holds 8 bytes per cell of a numeric column, and the
+    cell strings of a column only from its first non-number on. A ragged
+    row fails as it is read; every other check waits for the end of the
+    file and runs column by column in header order. A column that ends
+    categorical after a numeric start re-reads just those leading rows,
+    so its levels keep the tokens as written.
     """
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            rows = csv.reader(fh, delimiter=delimiter)
-            first = next(rows, None)
-            if first is None:
-                raise IngestError(f"{path} is empty: no header row")
-            header = [h.strip() for h in first]
-            if any(not h for h in header):
-                raise IngestError(f"{path}: header has an empty column name")
-            if len(set(header)) != len(header):
-                raise IngestError(f"{path}: duplicate column names in header")
-            width = len(header)
-            body = []
-            for lineno, row in enumerate(rows, start=2):
-                if len(row) != width:
-                    raise IngestError(
-                        f"{path}: row {lineno} has {len(row)} cells, header has {width}"
-                    )
-                body.append(row)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-
+    problem = _delimiter_error(delimiter)
+    if problem:
+        raise IngestError(f"cannot read {path}: {problem}")
     sentinel_set = set(sentinels)
+    header, chunks = _stream_columns(path, sentinel_set, delimiter)
+    numeric = [c.n_numeric >= NUMERIC_PARSE_FRACTION * c.n_present for c in chunks]
+    for name, column, is_numeric in zip(header, chunks, numeric):
+        if is_numeric and column.non_finite:
+            row, token = column.non_finite
+            raise IngestError(
+                f"{path}: column {name!r} row {row + 2} holds the non-finite "
+                f"number {token!r}; declare it a missing sentinel or fix the cell"
+            )
+    stops = {j: c.fallback_row for j, c in enumerate(chunks) if not numeric[j] and c.fallback_row}
+    leading = _leading_cells(path, delimiter, stops) if stops else {}
+
     columns = []
     levels = []
     coerced = {}
-    for name, raw in zip(header, zip(*body) if body else [()] * len(header)):
-        cells = [c.strip() for c in raw]
-        parsed = [None if c in sentinel_set else _parse_number(c) for c in cells]
-        n_present = sum(c not in sentinel_set for c in cells)
-        n_numeric = sum(v is not None for v in parsed)
-        if n_numeric >= NUMERIC_PARSE_FRACTION * n_present:
-            col, names = np.array([np.nan if v is None else v for v in parsed], dtype=np.float64), None
-            for i in np.flatnonzero(~np.isfinite(col)):
-                if parsed[i] is not None:
-                    raise IngestError(
-                        f"{path}: column {name!r} row {i + 2} holds the non-finite "
-                        f"number {cells[i]!r}; declare it a missing sentinel or fix the cell"
-                    )
-            if n_numeric < n_present:
-                coerced[name] = n_present - n_numeric
+    for j, name in enumerate(header):
+        column, chunks[j] = chunks[j], None
+        if numeric[j]:
+            col, names = np.concatenate(column.values or [np.empty(0)]), None
+            if column.n_numeric < column.n_present:
+                coerced[name] = column.n_present - column.n_numeric
         else:
-            col, names = encode(cells, sentinel_set)
+            col, names = encode(leading.pop(j, []) + column.cells, sentinel_set)
         columns.append(col)
         levels.append(names)
     return Dataset(column_names=header, columns=columns, levels=levels, coerced=coerced)

@@ -38,8 +38,9 @@ def write_patterns_csv(path: Path, table: PatternTable) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rank", "pattern", "n_missing_vars", "count", "percent"])
-        for row in table.rows:
-            w.writerow([row.rank, row.pattern, row.n_missing_vars, row.count, _fmt(row.percent)])
+        w.writerows(
+            (row.rank, row.pattern, row.n_missing_vars, row.count, _fmt(row.percent)) for row in table.rows
+        )
 
 
 def write_patterns_md(path: Path, table: PatternTable) -> None:
@@ -231,20 +232,19 @@ def write_logistic_csv(path: Path, rows: list[tuple[str, str, str, LogisticFit]]
 
 
 def write_scores_csv(path: Path, scores: ComponentScores) -> None:
-    q = scores.q
+    header = ["row"]
+    columns = [range(1, scores.scores.shape[0] + 1)]
+    for j in range(scores.q):
+        header += [f"score_{j + 1}", f"dichotomized_{j + 1}"]
+        # _fmt's rules, one column at a time: NaN (x != x) is an empty cell
+        score = ["" if x != x else f"{x:.6f}" for x in scores.scores[:, j].tolist()]
+        columns += [score, scores.dichotomized[:, j].tolist()]
+    header.append("fully_missing")
+    columns.append(scores.fully_missing.tolist())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["row"]
-        for j in range(q):
-            header += [f"score_{j + 1}", f"dichotomized_{j + 1}"]
-        header.append("fully_missing")
         w.writerow(header)
-        for i in range(scores.scores.shape[0]):
-            row = [i + 1]
-            for j in range(q):
-                row += [_fmt(scores.scores[i, j]), int(scores.dichotomized[i, j])]
-            row.append(bool(scores.fully_missing[i]))
-            w.writerow(row)
+        w.writerows(zip(*columns))
 
 
 def write_grid_csv(path: Path, report: SimReport) -> None:

@@ -10,15 +10,19 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import misscomp
-from misscomp import cli
+from misscomp import cli, pipeline
 from misscomp.pipeline import (
     DEFAULT_SENTINELS,
     IngestError,
@@ -200,6 +204,141 @@ class TestIngest:
         with pytest.raises(IngestError, match="cannot read"):
             ingest(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("delimiter", [";;", "", "\n", "\r"])
+    def test_bad_delimiter_is_ingest_error(self, tmp_path, delimiter):
+        path = write_csv(tmp_path / "d.csv", ["a"], [["1"]])
+        with pytest.raises(IngestError, match="delimiter must be one character"):
+            ingest(path, delimiter=delimiter)
+
+
+def ingest_or_error(path, chunk_rows=None):
+    """``ingest``'s dataset, or its IngestError's message; with ``chunk_rows``
+    the chunk cap is set so that each chunk holds that many rows."""
+    with open(path, newline="") as fh:
+        width = len(next(csv.reader(fh)))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_rows is not None:
+            mp.setattr(pipeline, "SCRATCH_ENTRIES", chunk_rows * width)
+        try:
+            return ingest(path)
+        except IngestError as exc:
+            return str(exc)
+
+
+def same_ingest(a, b):
+    """Equal datasets, column dtypes and NaN positions included, or equal error messages."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return (
+        a.column_names == b.column_names
+        and a.levels == b.levels
+        and a.coerced == b.coerced
+        and all(
+            x.dtype == y.dtype and np.array_equal(x, y, equal_nan=x.dtype.kind == "f")
+            for x, y in zip(a.columns, b.columns)
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def survey_20k_csv(tmp_path_factory):
+    """20000 rows of 30 float items with about 25% blanks, a numeric age and
+    two categorical columns: the shape of the benchmark's survey."""
+    rng = np.random.default_rng(5)
+    n, k = 20000, 30
+    values = np.char.mod("%.3f", rng.normal(10.0, 2.0, (n, k)))
+    values[rng.random((n, k)) < 0.25] = ""
+    age = rng.integers(18, 91, n).astype(str)
+    site = rng.choice(["site_a", "site_b", "site_c", "site_d"], n)
+    grp = rng.choice(["g1", "g2", "g3"], n)
+    rows = np.column_stack([age, site, grp, values]).tolist()
+    header = ["age", "site", "grp"] + [f"item{j + 1:02d}" for j in range(k)]
+    return write_csv(tmp_path_factory.mktemp("survey") / "survey.csv", header, rows)
+
+
+NUMBER_TOKENS = ["1", "2.5", "03", "-0", "1e3", " 4 ", "", "NA"]
+OTHER_TOKENS = ["x", "y ", "inf", "nan"]
+
+
+@st.composite
+def small_tables(draw):
+    """Columns of up to 12 cells: numbers and sentinels up to a drawn row,
+    then text only, a mix, or numbers with a rare straggler."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        split = draw(st.integers(min_value=0, max_value=n))
+        tail = draw(st.sampled_from([OTHER_TOKENS, NUMBER_TOKENS + OTHER_TOKENS, NUMBER_TOKENS * 4 + ["x"]]))
+        head = draw(st.lists(st.sampled_from(NUMBER_TOKENS), min_size=split, max_size=split))
+        columns.append(head + draw(st.lists(st.sampled_from(tail), min_size=n - split, max_size=n - split)))
+    return columns
+
+
+class TestChunkedIngest:
+    """A file that crosses several chunks reads exactly as in one chunk."""
+
+    def check(self, path, rows=3):
+        chunked, whole = ingest_or_error(path, rows), ingest_or_error(path)
+        assert same_ingest(chunked, whole)
+        return chunked
+
+    def test_late_straggler_is_counted(self, tmp_path):
+        cells = [[str(i), "x"] for i in range(11)] + [["abc", "y"]]
+        data = self.check(write_csv(tmp_path / "d.csv", ["a", "b"], cells))
+        assert data.kind("a") == "numeric" and np.isnan(data.column("a")[11])
+        assert data.coerced == {"a": 1}
+
+    def test_late_text_keeps_leading_tokens_verbatim(self, tmp_path):
+        tokens = ["03", "1.50", " 7 ", "", "1e2", "03", "x", "y", "NA", "x", "z", "y"]
+        cells = [[t, str(i)] for i, t in enumerate(tokens)]
+        data = self.check(write_csv(tmp_path / "d.csv", ["a", "b"], cells))
+        assert data.kind("a") == "categorical"
+        assert data.codes("a")[1] == ["03", "1.50", "1e2", "7", "x", "y", "z"]
+        assert data.column("a")[:3].tolist() == ["03", "1.50", "7"]
+
+    def test_late_non_finite_reports_its_row(self, tmp_path):
+        cells = [[str(i)] for i in range(10)] + [["inf"], ["11"]]
+        path = write_csv(tmp_path / "d.csv", ["a"], cells)
+        assert re.search(r"column 'a' row 12 .*'inf'", self.check(path))
+
+    def test_late_ragged_row_reports_its_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + "1,2\n" * 10 + "3\n4,5\n")
+        assert "row 12 has 1 cells" in self.check(path)
+
+    def test_earlier_column_in_header_is_named(self, tmp_path):
+        # column a fails in the last chunk, column b in the first
+        cells = [[str(i), str(i)] for i in range(12)]
+        cells[10][0], cells[1][1] = "inf", "nan"
+        path = write_csv(tmp_path / "d.csv", ["a", "b"], cells)
+        assert re.search(r"column 'a' row 12 .*'inf'", self.check(path))
+
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n")
+        data = self.check(path)
+        assert data.n == 0 and data.kind("a") == data.kind("b") == "numeric"
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_tables(), st.integers(min_value=1, max_value=5))
+    def test_any_chunk_size_reads_as_one_chunk(self, columns, chunk_rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(
+                Path(tmp) / "d.csv", [f"c{j}" for j in range(len(columns))], list(zip(*columns))
+            )
+            assert same_ingest(ingest_or_error(path, chunk_rows), ingest_or_error(path))
+
+    def test_peak_memory_is_bounded(self, survey_20k_csv):
+        # reading every cell string before parsing peaked at 40.8 MiB here
+        tracemalloc.start()
+        try:
+            data = ingest(survey_20k_csv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (data.n, data.p) == (20000, 33)
+        assert peak < 40.8 / 2 * 2**20
+
 
 def stop_at_step2(monkeypatch):
     """Make step 2 fail loudly, so an error raised before it shows as itself."""
@@ -237,6 +376,10 @@ class TestRunConfig:
                 {"criterion": "auto", "items_per_component_hint": 5, "expected_components_hint": 0},
                 "expected_components_hint",
             ),
+            ({"delimiter": ";;"}, "delimiter"),
+            ({"delimiter": ""}, "delimiter"),
+            ({"delimiter": "\n"}, "delimiter"),
+            ({"delimiter": "\r"}, "delimiter"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
@@ -578,6 +721,11 @@ class TestCli:
         rc = cli.main(["analyze", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error [step1-indicators]:")
+
+    def test_analyze_bad_delimiter(self, synthetic_csv, tmp_path, capsys):
+        rc = cli.main(["analyze", "--input", str(synthetic_csv), "--out", str(tmp_path), "--delimiter", ";;"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error [analyze]: delimiter must be one character")
 
     def test_analyze_categorical_covariate(self, synthetic_csv, tmp_path, capsys):
         rc = cli.main(
