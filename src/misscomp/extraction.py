@@ -166,10 +166,10 @@ def scores(ind: IndicatorMatrix, sol: EigenSolution, q: int, cutoff: float = 0.0
     _, vectors, signs = oriented_weights(sol, q)
     if vectors.shape[0] != ind.k:
         raise ValueError("solution dimension does not match indicator columns")
-    x = ind.values.astype(np.float64)
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    z = (x - mean) / sd
+    z = ind.values.astype(np.float64)
+    sd = z.std(axis=0)
+    z -= z.mean(axis=0)
+    z /= sd
     s = z @ vectors
     dich = (s > cutoff).astype(np.uint8)
     return ComponentScores(

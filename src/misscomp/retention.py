@@ -72,32 +72,60 @@ def ekc(eigenvalues: np.ndarray, n: int, k: int) -> RetentionDecision:
 def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
     """Eigenvalue spectra of column-permuted copies of the indicators.
 
-    Each replication draws its permutations from a stream spawned off
-    (seed, replication index), so the result is identical however the work
-    is scheduled. Permuting a column keeps its count of ones, so every
-    replication's Pearson matrix follows from its exact co-occurrence
-    counts C alone, through ``phi`` as the observed matrix does.
-    Each replication shuffles a float64 (k, n) copy of the indicators, one
-    row per column, cast from a C-ordered uint8 (k, n) base: numpy's
-    shuffle has a fast path for 8-byte items, and it draws the same stream
-    for any item size or layout. C = P Pᵀ in float64 is exact, since its
-    entries are integers up to n. One block, reused, holds one copy or as
-    many as fit in ``SCRATCH_ENTRIES`` entries, so besides the n·k byte
-    base the scratch is at most max(8·n·k, 8·SCRATCH_ENTRIES) bytes
-    however many reps run; the output is reps·k floats.
+    One generator seeded with ``seed`` draws a uniform key for every
+    (replication, column, row), in that order, so the result is identical
+    however the work is scheduled. In each replication column j puts its
+    m_j ones at the rows of its m_j smallest keys, a uniformly random
+    arrangement of its own count of ones. Each key row is padded with
+    top - m_j entries below every key and m_j - min(m) above, top = max(m),
+    so one ``partition`` at rank top - 1 finds every row's threshold; the
+    keys at or below it become the ones. A row tied at its threshold (keys
+    repeat with probability about n²/2^54) is settled by the stable order of
+    its keys, so it still holds exactly m_j ones. Every replication's
+    Pearson matrix follows from its exact co-occurrence counts C = P Pᵀ,
+    through ``phi`` as the observed matrix does; float64 holds C exactly,
+    since its entries are integers up to n. One block, reused, holds one
+    replication's (k, n) keys or as many as fit in ``SCRATCH_ENTRIES``
+    entries, and padded rows are partitioned in a reused chunk of at most
+    max(one padded row, ``SCRATCH_ENTRIES``) entries, so however many reps
+    run the scratch is about 8·n·k bytes plus the chunk's 1 MB; the output
+    is reps·k floats.
     """
     n, k = ind.values.shape
-    streams = np.random.SeedSequence(seed).spawn(reps)
-    base = np.ascontiguousarray(ind.values.T)
+    m = ind.values.sum(axis=0, dtype=np.int64)
+    top = int(m.max())
+    # entry a of row j's padding is 2a + 1 - 2(top - m_j): its first top - m_j
+    # entries are at most -1, below every key, and the rest at least 1, above
+    ramp = 2.0 * np.arange(top - m.min()) + 1.0
+    shift = 2.0 * (top - m)
+    width = n + len(ramp)
+    chunk = np.empty((max(1, SCRATCH_ENTRIES // width), width))
+    rng = np.random.default_rng(seed)
     out = np.empty((reps, k))
     batch = min(reps, max(1, SCRATCH_ENTRIES // max(n * k, k * k)))
     block = np.empty((batch, k, n))
     for start in range(0, reps, batch):
         stop = min(start + batch, reps)
-        perm = block[: stop - start]
-        for i, r in enumerate(range(start, stop)):
-            np.random.default_rng(streams[r]).permuted(base, axis=1, out=perm[i])
-        corr = phi(perm @ perm.swapaxes(-1, -2), n)
+        keys = block[: stop - start]
+        rng.random(out=keys)
+        rows = keys.reshape(-1, n)
+        limits = np.empty(len(rows))
+        for first in range(0, len(rows), len(chunk)):
+            padded = chunk[: len(rows) - first]
+            span = slice(first, first + len(padded))
+            padded[:, :n] = rows[span]
+            np.subtract(ramp, shift[np.arange(first, span.stop) % k, None], out=padded[:, n:])
+            padded.partition(top - 1, axis=1)
+            limits[span] = padded[:, top - 1]
+            # a key above the threshold rank that equals the threshold would
+            # make one too many ones
+            tied = padded[:, top:].min(axis=1) == limits[span]
+            for r in first + np.flatnonzero(tied):
+                # replace the keys by their stable ranks: the first m_j are the ones
+                rows[r, np.argsort(rows[r], kind="stable")] = np.arange(n)
+                limits[r] = m[r % k] - 1
+        np.less_equal(keys, limits.reshape(-1, k, 1), out=keys, casting="unsafe")
+        corr = phi(keys @ keys.swapaxes(-1, -2), n)
         out[start:stop] = np.linalg.eigvalsh(corr)[:, ::-1]
     return out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,24 @@ class TestScores:
         sol = pca(equicorrelation(5, 0.3))
         with pytest.raises(ValueError):
             scores(ind, sol, q=1)
+
+    def test_standardizes_one_float64_copy(self, rng):
+        # the indicators are standardized in place: one float64 copy, plus
+        # the one std() makes, against three for x, x - mean and the quotient
+        n, k = 20000, 30
+        ind = indicator_matrix((rng.random((n, k)) < rng.uniform(0.05, 0.6, size=k)).astype(np.uint8))
+        sol = pca(pearson(ind))
+        tracemalloc.start()
+        try:
+            sc = scores(ind, sol, q=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * k
+        x = ind.values.astype(np.float64)
+        _, vectors, _ = oriented_weights(sol, 3)
+        expect = ((x - x.mean(axis=0)) / x.std(axis=0)) @ vectors
+        np.testing.assert_array_equal(sc.scores.view(np.int64), expect.view(np.int64))
 
 
 @settings(max_examples=30, deadline=None)

@@ -899,7 +899,7 @@ GOLDEN_DIGESTS = {
     "patterns.json": "54562e14ba8e1beccc05449b5cdd8de42b9e08fed59a411f6f7209a9a179fd9e",
     "patterns.md": "89615180fcf80d2dfa61e667d30e9133aae5421e007e5d87a88fb7073bf83704",
     "retention.csv": "217123febf839385c65cb421f34363c65c948ddf64b3439019c5d893af1fbf3e",
-    "retention_curves.csv": "68ac2a8c9495a22e0fb5fe8c4410c735a9401bce357e71d81f1d1f146028fc87",
+    "retention_curves.csv": "e5c6d29905fbd6293385cfa5f511c09a834387433cdb72fdc046143d4380abf7",
     "scores.csv": "a0c7d2ea83c417835bee617b920850006927f9960226771fd8cf3bd0e7eb6b60",
     "screens.csv": "444b93d5e15a9b6dca6cf0765ebe974f11bd51de2881e2e1f875053e82addae6",
 }

@@ -216,36 +216,66 @@ class TestParallelAnalysis:
         assert decision.converged
 
 
+def null_keys(ind, reps, seed):
+    """The null's keys redrawn: one uniform per (replication, column, row)."""
+    return np.random.default_rng(seed).random((reps, ind.k, ind.n))
+
+
+def placed_copies(ind, keys):
+    """Each replication's (n, k) 0/1 copy: column j's ones at its m_j smallest keys.
+
+    Rows are ranked with a stable ``argsort``, never ``partition``, so a tie
+    goes to the earlier row.
+    """
+    m = ind.values.sum(axis=0)
+    for rep in keys:
+        x = np.zeros((ind.n, ind.k), dtype=np.uint8)
+        for j in range(ind.k):
+            x[np.argsort(rep[j], kind="stable")[: m[j]], j] = 1
+        yield x
+
+
 def reference_null(ind, reps, seed):
     """Independent oracle: centre and normalise each permuted copy in float64."""
-    streams = np.random.SeedSequence(seed).spawn(reps)
     out = np.empty((reps, ind.k))
-    for r in range(reps):
-        x = np.random.default_rng(streams[r]).permuted(ind.values, axis=0).astype(np.float64)
+    for r, x in enumerate(placed_copies(ind, null_keys(ind, reps, seed))):
+        x = x.astype(np.float64)
         z = x - x.mean(axis=0)
         norms = np.sqrt((z * z).sum(axis=0))
         out[r] = np.linalg.eigvalsh((z.T @ z) / np.outer(norms, norms))[::-1]
     return out
 
 
-def frozen_stream_null(ind, reps, seed):
-    """Stream oracle: the null from a row-major uint8 shuffle.
+def stream_null(ind, keys):
+    """Stream oracle: the null of the copies the keys place, in the other layout.
 
-    It shuffles with ``permuted(axis=0)`` and counts co-occurrences with
-    ``indicators.cooccurrence`` (float64 row chunks), in the layout and
-    item size ``_permutation_null`` does not use, so bit-for-bit equality
-    shows that the draws depend on neither.
+    It places the ones by sorting, not partitioning, and counts
+    co-occurrences of each (n, k) uint8 copy with ``indicators.cooccurrence``
+    (float64 row chunks), in the layout and item size ``_permutation_null``
+    does not use, so bit-for-bit equality shows that the null depends on
+    none of them.
     """
     n = ind.n
-    streams = np.random.SeedSequence(seed).spawn(reps)
     m = ind.values.sum(axis=0, dtype=np.float64)
     s = np.sqrt(n * m - m * m)
-    out = np.empty((reps, ind.k))
-    for r in range(reps):
-        perm = np.random.default_rng(streams[r]).permuted(ind.values, axis=0)
-        corr = (indicators.cooccurrence(perm) * n - np.outer(m, m)) / np.outer(s, s)
+    out = np.empty((len(keys), ind.k))
+    for r, x in enumerate(placed_copies(ind, keys)):
+        corr = (indicators.cooccurrence(x) * n - np.outer(m, m)) / np.outer(s, s)
         out[r] = np.linalg.eigvalsh(corr)[::-1]
     return out
+
+
+class CoarseKeys:
+    """A generator whose keys are multiples of 1/8, so rows tie at their thresholds."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+
+    def random(self, out):
+        self.rng.random(out=out)
+        np.floor(out * 8, out=out)
+        out /= 8
+        return out
 
 
 class TestPermutationNull:
@@ -270,21 +300,51 @@ class TestPermutationNull:
         ind = self._indicators(rng, n, k)
         np.testing.assert_array_equal(
             retention._permutation_null(ind, reps, seed=8),
-            frozen_stream_null(ind, reps, seed=8),
+            stream_null(ind, null_keys(ind, reps, seed=8)),
         )
 
     @pytest.mark.parametrize("cap", [50, 20_000])
     def test_small_caps_split_replications_into_blocks(self, rng, monkeypatch, cap):
-        # 50 entries: one replication per block; 20000: six blocks of two
-        # replications each
+        # 50 entries: one replication per block and one padded row per
+        # chunk; 20000: six blocks of two replications each, in chunks
         ind = self._indicators(rng, 1000, 8)
+        default = retention._permutation_null(ind, 12, seed=3)
         monkeypatch.setattr(retention, "SCRATCH_ENTRIES", cap)
-        np.testing.assert_allclose(
-            retention._permutation_null(ind, 12, seed=3),
-            reference_null(ind, 12, seed=3),
-            rtol=0,
-            atol=1e-10,
-        )
+        np.testing.assert_array_equal(retention._permutation_null(ind, 12, seed=3), default)
+
+    def test_single_ones_coincide_a_quarter_of_the_time(self):
+        # two columns with one 1 each among 4 rows share their row with
+        # probability 1/4: r = 1 gives eigenvalues (2, 0), otherwise
+        # r = -1/3 gives (4/3, 2/3)
+        values = np.zeros((4, 2), dtype=np.uint8)
+        values[0, 0] = values[1, 1] = 1
+        reps = 4000
+        spectra = retention._permutation_null(indicator_matrix(values), reps, seed=6)
+        together = np.isclose(spectra, [2.0, 0.0], atol=1e-12).all(axis=1)
+        apart = np.isclose(spectra, [4 / 3, 2 / 3], atol=1e-12).all(axis=1)
+        assert (together | apart).all()
+        sd = np.sqrt(0.25 * 0.75 / reps)
+        assert abs(together.mean() - 0.25) <= 4 * sd
+
+    def test_ties_at_the_threshold_keep_every_count(self, rng, monkeypatch):
+        # keys on a grid of 1/8 tie at nearly every threshold; each row must
+        # still hold exactly m_j ones, placed by the stable order of its keys
+        ind = self._indicators(rng, 300, 7)
+        diagonals = []
+
+        def recording_phi(counts, n):
+            diagonals.append(np.diagonal(counts, axis1=-2, axis2=-1).copy())
+            return indicators.phi(counts, n)
+
+        monkeypatch.setattr(retention, "phi", recording_phi)
+        monkeypatch.setattr(retention.np.random, "default_rng", CoarseKeys)
+        got = retention._permutation_null(ind, 20, seed=4)
+        m = ind.values.sum(axis=0)
+        assert diagonals
+        for diagonal in diagonals:
+            assert (diagonal == m).all()
+        keys = CoarseKeys(4).random(np.empty((20, ind.k, ind.n)))
+        np.testing.assert_array_equal(got, stream_null(ind, keys))
 
     def test_extreme_marginals_give_a_finite_null(self):
         # a column with a single one and a column with a single zero: the
@@ -303,16 +363,25 @@ class TestPermutationNull:
         assert decision.converged
         assert np.isfinite(decision.diagnostics).all()
 
+    def _traced_peak(self, ind, reps):
+        tracemalloc.start()
+        try:
+            retention._permutation_null(ind, reps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_scratch_does_not_grow_with_reps(self, rng):
         # a float64 block of all 100 permuted copies would be 80 MB
         ind = self._indicators(rng, 5000, 20)
-        tracemalloc.start()
-        try:
-            retention._permutation_null(ind, 100, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert self._traced_peak(ind, 100) < 16 * 2**20
+
+    def test_scratch_is_one_key_block_and_a_chunk(self, rng):
+        # one replication's float64 keys plus a partition chunk of at most
+        # SCRATCH_ENTRIES entries (1 MB)
+        n, k = 5000, 20
+        ind = self._indicators(rng, n, k)
+        assert self._traced_peak(ind, 100) <= 8 * n * k + 2 * 2**20
 
 
 class TestGuidance:
