@@ -107,23 +107,40 @@ def _counts(weights, n: int) -> np.ndarray:
     return w
 
 
-def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> list[ScreenResult]:
+def _rows(rows: np.ndarray | None) -> np.ndarray | slice:
+    """A row mask or row indices as an index; None selects every row."""
+    if rows is None:
+        return slice(None)
+    rows = np.asarray(rows)
+    return np.flatnonzero(rows) if rows.dtype == bool else rows
+
+
+def screen(
+    data: Dataset, component_flag: np.ndarray, variables: list[str], rows: np.ndarray | None = None
+) -> list[ScreenResult]:
     """Compare each variable across the two component-flag groups.
 
     Numeric variables get a Welch t test on their observed values,
     categorical variables a Pearson chi-square on the level-by-flag table.
     Missing cells drop out pairwise; a group with fewer than two observed
     values makes the variable not testable (flagged, never raised).
+
+    ``rows`` (a boolean mask or indices; None for all) picks the rows of
+    ``data`` that ``component_flag`` describes. The screens equal those on
+    ``data.take(rows)``, but read one column's rows at a time rather than
+    copying every column.
     """
+    rows = _rows(rows)
+    n = data.n if isinstance(rows, slice) else len(rows)
     flag = np.asarray(component_flag)
-    if flag.ndim != 1 or len(flag) != data.n:
+    if flag.ndim != 1 or len(flag) != n:
         raise ValueError("component_flag must align with dataset rows")
     flag = _binary(flag, "component_flag")
     results = []
     for name in variables:
         kind = data.kind(name)
-        observed = ~data.missing_mask(name)
-        excluded = int(data.n - observed.sum())
+        observed = ~data.missing_mask(name)[rows]
+        excluded = int(n - observed.sum())
         g0, g1 = flag[observed] == 0, flag[observed] == 1
         n0, n1 = int(g0.sum()), int(g1.sum())
         stat = df = p = np.nan
@@ -131,11 +148,11 @@ def screen(data: Dataset, component_flag: np.ndarray, variables: list[str]) -> l
         if n0 < 2 or n1 < 2:
             reason = f"fewer than 2 observed values in a group (n0={n0}, n1={n1})"
         elif kind == NUMERIC:
-            vals = data.column(name)[observed]
+            vals = data.column(name)[rows][observed]
             stat, df, p = _welch(vals[g1], vals[g0])
         else:
             codes, levels = data.codes(name)
-            stat, df, p = _chi_square(codes[observed], levels, flag[observed])
+            stat, df, p = _chi_square(codes[rows][observed], levels, flag[observed])
             if np.isnan(stat):
                 reason = "contingency table has a single populated row or column"
         test = WELCH_T if kind == NUMERIC else CHI_SQUARE
@@ -188,11 +205,18 @@ def _independent_columns(x: np.ndarray, weights: np.ndarray | None = None) -> li
     return kept
 
 
+def _certifies(mu: np.ndarray, actual: np.ndarray) -> bool:
+    """Whether fitted probabilities ``mu`` put every ``actual`` row above one
+    half and every other row below it, which proves complete separation."""
+    return bool(np.where(actual, mu > 0.5, mu < 0.5).all())
+
+
 def fit_logistic(
     y: np.ndarray,
     x: np.ndarray,
     predictor_names: list[str] | None = None,
     weights: np.ndarray | None = None,
+    start: np.ndarray | None = None,
 ) -> LogisticFit:
     """Binary logistic regression by iteratively reweighted least squares.
 
@@ -201,6 +225,12 @@ def fit_logistic(
     weights[i] identical rows; rows of count zero drop out, and ``n`` is the
     total count), so a fit on a table's distinct rows equals the fit on the
     rows it counts.
+
+    ``start`` holds candidate coefficients, intercept first. It becomes the
+    first iterate only when no design column is aliased and it already
+    certifies complete separation (below); the fit then stops at iteration
+    1 with ``start`` as its coefficients. Otherwise IRLS starts from zero,
+    and the fit is bit for bit the one without ``start``.
 
     An iterate that fits every y = 1 row above one half and every y = 0 row
     below it certifies complete separation (its linear predictor splits the
@@ -232,6 +262,10 @@ def fit_logistic(
         predictor_names = [f"x{j + 1}" for j in range(x.shape[1])]
     if len(predictor_names) != x.shape[1]:
         raise ValueError("predictor_names must match predictor columns")
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (x.shape[1] + 1,):
+            raise ValueError("start must hold an intercept and one coefficient per predictor")
 
     design = np.column_stack([np.ones(len(y)), x])
     names = ["intercept"] + list(predictor_names)
@@ -244,16 +278,15 @@ def fit_logistic(
     fw = np.ones(len(y)) if weights is None else weights
     n = fw.sum()
     actual = y == 1.0
-    # predictor scale for the runaway-coefficient separation check
-    sds = design.std(axis=0) if weights is None else np.sqrt(fw @ (design - fw @ design / n) ** 2 / n)
-    sds[0] = 1.0
 
     beta = np.zeros(design.shape[1])
+    if start is not None and not aliased and _certifies(special.expit(design @ start), actual):
+        beta = start.copy()
     converged = certified = singular = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = special.expit(design @ beta)
-        if np.where(actual, mu > 0.5, mu < 0.5).all():
+        if _certifies(mu, actual):
             certified = True
             break
         g = design.T @ (fw * (y - mu))
@@ -276,9 +309,13 @@ def fit_logistic(
     # rows a separating direction splits off saturate, while the
     # coefficients still drift), or runaway standardized coefficients
     saturated = bool((np.where(actual, 1.0 - mu, mu) < SEPARATION_PROB_TOL).any())
-    separated = certified or singular or saturated or bool(
-        np.max(np.abs(beta * sds)) > SEPARATION_COEF_BOUND
-    )
+    separated = certified or singular or saturated
+    if not separated:
+        # predictor scale for the runaway-coefficient check, an n×k
+        # temporary that only this check reads
+        sds = design.std(axis=0) if weights is None else np.sqrt(fw @ (design - fw @ design / n) ** 2 / n)
+        sds[0] = 1.0
+        separated = bool(np.max(np.abs(beta * sds)) > SEPARATION_COEF_BOUND)
     tiny = 1e-300
     ll = 0.0 if certified else float(
         np.sum(fw * (y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny))))
@@ -344,34 +381,44 @@ def stratified_rerun(
     variables: list[str],
     design: np.ndarray,
     design_names: list[str],
+    start: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[StratumResult]:
     """Repeat screens and logistic fits inside each stratum level.
 
     ``design`` holds the predictors of the stratum fit, one row per row of
     ``data`` and one column per name in ``design_names``; each stratum fits
     its own rows of it, and no fit runs when ``design_names`` is empty.
+    ``start`` goes to every stratum fit (see ``fit_logistic``): a direction
+    that separates the flag on all rows separates it on each stratum's
+    rows, so those fits stop at iteration 1 unless a column is aliased
+    within the stratum. ``rows`` picks the rows of ``data`` that
+    ``component_flag`` and ``design`` describe, as in ``screen``.
     Levels whose flag has a single class are reported not testable rather
     than fitted. Rows with a missing stratum value are left out entirely.
     Strata are named and ordered by ``Dataset.codes``, so a numeric strata
     column gives levels such as "10.0" and "2.0", in that order.
     """
     flag = _binary(component_flag, "component_flag")
+    index = np.arange(data.n)[_rows(rows)]
+    if flag.shape != index.shape:
+        raise ValueError("component_flag must align with dataset rows")
     codes, names = data.codes(strata)
+    codes = codes[index]
     seen = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
     if len(seen) < 2:
         raise ValueError("strata column must have at least 2 levels")
     out = []
     for code in seen:
         level = names[code]
-        rows = np.flatnonzero(codes == code)
-        sub = data.take(rows)
-        sub_flag = flag[rows]
-        n = len(rows)
+        members = np.flatnonzero(codes == code)
+        sub_flag = flag[members]
+        n = len(members)
         if len(np.unique(sub_flag)) < 2:
             out.append(StratumResult(level, False, "component flag has a single class", n, [], None))
             continue
-        stratum_screens = screen(sub, sub_flag, variables)
-        fit = fit_logistic(sub_flag, design[rows], design_names) if design_names else None
+        stratum_screens = screen(data, sub_flag, variables, index[members])
+        fit = fit_logistic(sub_flag, design[members], design_names, start=start) if design_names else None
         out.append(StratumResult(level, True, "", n, stratum_screens, fit))
     return out
 

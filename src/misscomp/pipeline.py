@@ -401,7 +401,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     solution = extraction.pca(corr) if config.extraction_method == PCA else extraction.paf(corr, q)
     if not solution.converged:
         notes.append("principal axis factoring did not converge; last iterate reported")
-    oriented, _, _ = extraction.oriented_weights(solution, q)
+    oriented, vectors, _ = extraction.oriented_weights(solution, q)
     comp_scores = extraction.scores(ind, solution, q, cutoff=config.cutoff)
     done("step4-extraction", f"extracted {q} component(s) with {config.extraction_method}")
 
@@ -414,7 +414,10 @@ def analyze(config: RunConfig) -> AnalysisResult:
     n_fully = int(comp_scores.fully_missing.sum())
     if n_fully:
         notes.append(f"{n_fully} fully missing row(s) excluded from screens and fits")
-    screen_data = _screening_dataset(data, ind).take(usable)
+    # the screens read the usable rows a column at a time, so no column is
+    # copied whether or not rows are excluded
+    screen_data = _screening_dataset(data, ind)
+    screened = usable if n_fully else None
     # the stratifying column itself is not screened
     screen_vars = [name for name in screen_data.column_names if name != config.strata_column]
 
@@ -426,15 +429,26 @@ def analyze(config: RunConfig) -> AnalysisResult:
         cov = cov[usable]
         keep = np.isfinite(cov).all(axis=1)
 
-    # (label, flags over the usable rows) of each component with both classes
-    testable: list[tuple[str, np.ndarray]] = []
+    # score j is Σᵢ (xᵢ − x̄ᵢ)/sdᵢ · vᵢⱼ and its flag that score above the
+    # cutoff, so the intercept −Σᵢ x̄ᵢvᵢⱼ/sdᵢ − tⱼ and slopes vᵢⱼ/sdᵢ split
+    # the flag wherever tⱼ falls between the classes' scores; x̄ and sd come
+    # from the indicator counts m, which takes no float copy of the indicators
+    m = ind.values.sum(axis=0, dtype=np.float64)
+    slopes = vectors / (np.sqrt(m * (ind.n - m)) / ind.n)[:, None]
+    intercepts = -(m / ind.n) @ slopes
+
+    # (label, flags over the usable rows, separating start of the joint
+    # fits) of each component with both classes
+    testable: list[tuple[str, np.ndarray, np.ndarray]] = []
     for j, flag in enumerate(np.array(comp_scores.dichotomized[usable].T, dtype=int, order="C")):
         label = f"component_{j + 1}"
         if flag.min() == flag.max():
             notes.append(f"{label}: dichotomized score has a single class; screens and fits skipped")
             continue
-        testable.append((label, flag))
-        for res in mechanism.screen(screen_data, flag, screen_vars):
+        s = comp_scores.scores[usable, j]
+        gap = (s[flag == 0].max() + s[flag == 1].min()) / 2.0
+        testable.append((label, flag, np.r_[intercepts[j] - gap, slopes[:, j]]))
+        for res in mechanism.screen(screen_data, flag, screen_vars, screened):
             screen_rows.append((label, "", res))
     done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")
 
@@ -444,7 +458,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     cell_x = np.array([[1.0], [1.0], [0.0], [0.0]])
     cell_y = np.array([1, 0, 1, 0])
     n_ones = x_ind.sum(axis=0)
-    for label, flag in testable:
+    for label, flag, start in testable:
         both = flag @ x_ind
         n_high = flag.sum()
         tables = np.column_stack([both, n_ones - both, n_high - both, len(flag) - n_ones - n_high + both])
@@ -452,7 +466,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
             fit = mechanism.fit_logistic(cell_y, cell_x, [ind_name], weights=counts)
             logistic_rows.append((label, "", f"simple:{ind_name}", fit))
         logistic_rows.append(
-            (label, "", "multiple", mechanism.fit_logistic(flag, x_ind, indicator_names))
+            (label, "", "multiple", mechanism.fit_logistic(flag, x_ind, indicator_names, start=start))
         )
         if covariates:
             if keep.sum() and flag[keep].min() != flag[keep].max():
@@ -464,13 +478,14 @@ def analyze(config: RunConfig) -> AnalysisResult:
 
     # step 8: stratified rerun
     if config.strata_column:
-        n_unplaced = int(screen_data.missing_mask(config.strata_column).sum())
+        n_unplaced = int(data.missing_mask(config.strata_column)[usable].sum())
         if n_unplaced:
             notes.append(f"{n_unplaced} usable row(s) missing {config.strata_column!r} left out of strata")
-        for label, flag in testable:
+        for label, flag, start in testable:
             try:
                 reruns = mechanism.stratified_rerun(
-                    screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names
+                    screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names, start,
+                    screened,
                 )
             except ValueError as exc:
                 raise PipelineError("step8-strata", str(exc)) from exc

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -8,6 +10,7 @@ from misscomp import mechanism
 from misscomp.mechanism import (
     CHI_SQUARE,
     WELCH_T,
+    LogisticFit,
     fit_logistic,
     numeric_values,
     roc_auc,
@@ -136,6 +139,21 @@ class TestScreen:
             screen(small_dataset, np.array([0, 1]), ["y1"])
         with pytest.raises(ValueError):
             screen(small_dataset, np.full(8, 2), ["y1"])
+
+    def test_rows_screen_as_the_taken_rows(self, rng):
+        n = 60
+        x = rng.normal(size=n)
+        x[rng.random(n) < 0.2] = np.nan
+        g = [str(v) if rng.random() > 0.1 else None for v in rng.choice(["a", "b", "c"], size=n)]
+        data = dataset_from_arrays({"x": list(x), "g": g})
+        keep = rng.random(n) < 0.7
+        flag = (rng.random(keep.sum()) < 0.4).astype(int)
+        want = screen(data.take(keep), flag, ["x", "g"])
+        # a mask and its indices alike, the same results field for field
+        assert repr(screen(data, flag, ["x", "g"], keep)) == repr(want)
+        assert repr(screen(data, flag, ["x", "g"], np.flatnonzero(keep))) == repr(want)
+        with pytest.raises(ValueError, match="align"):
+            screen(data, flag, ["x"], np.flatnonzero(keep)[1:])
 
 
 class TestRocAuc:
@@ -291,6 +309,80 @@ class TestSeparationCertificate:
         assert fit.log_likelihood == pytest.approx(10 * np.log(10 / 40) + 30 * np.log(30 / 40), abs=1e-6)
         rows = fit_logistic(*expand(TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X, counts), ["x"])
         assert rows.separated and rows.log_likelihood < 0.0
+
+
+def assert_identical_fit(a, b):
+    """Every field of two fits equal, arrays and floats bit for bit."""
+    for f in fields(LogisticFit):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        if u is None or v is None:
+            assert u is v, f.name
+        elif isinstance(u, (np.ndarray, float)):
+            assert np.array_equal(u, v, equal_nan=True), f.name
+        else:
+            assert u == v, f.name
+
+
+class TestStart:
+    W = np.array([1.0, -2.0, 0.5])
+
+    def separated(self, rng, n=200):
+        x = rng.normal(size=(n, 3))
+        return (x @ self.W > 0.3).astype(float), x
+
+    def test_certifying_start_stops_at_iteration_one(self, rng):
+        y, x = self.separated(rng)
+        start = np.r_[-0.3, self.W]
+        fit = fit_logistic(y, x, start=start)
+        assert fit.iterations == 1
+        np.testing.assert_array_equal(fit.coefficients, start)
+        assert fit.separated and not fit.converged
+        assert fit.standard_errors is None
+        assert fit.log_likelihood == 0.0
+        assert (fit.auc, fit.sensitivity, fit.specificity) == (1.0, 1.0, 1.0)
+        # the same holds at any positive scale of the direction
+        assert fit_logistic(y, x, start=1e-3 * start).iterations == 1
+
+    def test_start_that_does_not_certify_changes_nothing(self, rng):
+        y, x = self.separated(rng)
+        plain = fit_logistic(y, x)
+        assert plain.iterations > 1
+        for start in (-np.r_[-0.3, self.W], np.zeros(4), np.r_[0.0, self.W], np.full(4, np.nan)):
+            assert_identical_fit(fit_logistic(y, x, start=start), plain)
+
+    def test_start_on_an_unseparated_fit_changes_nothing(self, rng):
+        x = rng.normal(size=(300, 2))
+        y = (rng.random(300) < 1.0 / (1.0 + np.exp(-(0.3 + x[:, 0])))).astype(float)
+        plain = fit_logistic(y, x)
+        assert plain.converged and plain.standard_errors is not None
+        assert_identical_fit(fit_logistic(y, x, start=np.r_[0.3, 1.0, 0.0]), plain)
+
+    def test_start_on_an_aliased_design_changes_nothing(self, rng):
+        y, x = self.separated(rng)
+        # a duplicated column and an all-zero one: the start separates the
+        # rows, but the fit drops a column, so IRLS starts from zero
+        for extra, start in (
+            (x[:, :1], np.r_[-0.3, self.W, 0.0]),
+            (np.zeros((len(y), 1)), np.r_[-0.3, self.W, 5.0]),
+        ):
+            design = np.column_stack([x, extra])
+            plain = fit_logistic(y, design)
+            assert plain.aliased == ["x4"] and plain.iterations > 1
+            assert_identical_fit(fit_logistic(y, design, start=start), plain)
+
+    def test_weighted_rows_of_count_zero_drop_before_the_check(self):
+        # the (x = 1, y = 0) cell refutes the start unless it counts zero
+        y, x = TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X
+        plain = fit_logistic(y, x, ["x"], weights=[12, 4, 5, 30])
+        assert_identical_fit(fit_logistic(y, x, ["x"], weights=[12, 4, 5, 30], start=[-1.0, 2.0]), plain)
+        fit = fit_logistic(y, x, ["x"], weights=[12, 0, 0, 30], start=[-1.0, 2.0])
+        assert fit.iterations == 1 and fit.n == 42
+        np.testing.assert_array_equal(fit.coefficients, [-1.0, 2.0])
+
+    def test_start_of_the_wrong_length_rejected(self, rng):
+        y, x = self.separated(rng)
+        with pytest.raises(ValueError, match="start"):
+            fit_logistic(y, x, start=self.W)
 
 
 class TestFitLogistic:
@@ -477,6 +569,40 @@ class TestStratifiedRerun:
         # no names, no fit, whatever the design holds
         for res in stratified_rerun(data, flag, "g", [], design, []):
             assert res.testable and res.fit is None
+
+    def test_start_goes_to_every_stratum_fit(self, rng):
+        n = 240
+        g = rng.choice(["a", "b", "c"], size=n)
+        g[:3] = ["a", "b", "c"]
+        design = rng.normal(size=(n, 3))
+        start = np.r_[-0.2, 1.0, 0.5, -1.0]
+        flag = (start[0] + design @ start[1:] > 0).astype(int)
+        names = ["m1", "m2", "m3"]
+        results = stratified_rerun(dataset_from_arrays({"g": list(g)}), flag, "g", [], design, names, start)
+        assert len(results) == 3
+        for res in results:
+            rows = g == res.stratum
+            assert res.fit.iterations == 1
+            np.testing.assert_array_equal(res.fit.coefficients, start)
+            assert_identical_fit(res.fit, fit_logistic(flag[rows], design[rows], names, start=start))
+
+    def test_rows_rerun_as_the_taken_rows(self, rng):
+        n = 240
+        g = [v if rng.random() > 0.05 else None for v in rng.choice(["a", "b", "c"], size=n)]
+        x = rng.normal(size=n)
+        design = (rng.random((n, 2)) < 0.4).astype(np.float64)
+        data = dataset_from_arrays({"x": list(x), "g": g})
+        keep = rng.random(n) < 0.8
+        flag = (rng.random(keep.sum()) < 0.2 + 0.5 * design[keep, 0]).astype(int)
+        want = stratified_rerun(data.take(keep), flag, "g", ["x"], design[keep], ["m1", "m2"])
+        got = stratified_rerun(data, flag, "g", ["x"], design[keep], ["m1", "m2"], rows=keep)
+        assert [(r.stratum, r.testable, r.n, repr(r.screens)) for r in got] == [
+            (r.stratum, r.testable, r.n, repr(r.screens)) for r in want
+        ]
+        for a, b in zip(got, want):
+            assert_identical_fit(a.fit, b.fit)
+        with pytest.raises(ValueError, match="align"):
+            stratified_rerun(data, flag, "g", ["x"], design[keep], ["m1", "m2"])
 
     def test_fractional_flag_rejected(self):
         data = dataset_from_arrays({"x": [1.0, 2.0, 3.0, 4.0], "g": ["a", "a", "b", "b"]})

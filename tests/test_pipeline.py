@@ -891,10 +891,14 @@ def golden_csv(tmp_path_factory):
 # single x = 1 row sits in one cell of its 2x2 table, lost its standard
 # errors, and when separated fits began to report converged False, since
 # no maximum exists: only simple:site_miss's two converged cells moved.
+# It was re-recorded again when the whole-sample joint fits began to start
+# at the component score's own separating direction: only the coefficient
+# cells of the multiple rows moved, to another separating direction at an
+# arbitrary scale.
 GOLDEN_DIGESTS = {
     "loadings.csv": "4e439111979192ded9ef9ed4c2ff7df2c9af79f50e081ab690920a23ef714be2",
     "loadings.md": "04d120c61d2970c46bb9e8576f5d6452dead939b0b64bef95bcc73ea2b4874df",
-    "logistic.csv": "211202424612bd09f76d39862df37e1638228985ae43001fa41098e821d1c37f",
+    "logistic.csv": "7f8eb990ca9ff15aabf196a1ae4e8e7b521a19fe00814dec1c1f0cfa516ef34e",
     "patterns.csv": "f105cf94e1098678cf5fa3e852190b5380939276619605386f0407dee0a7f772",
     "patterns.json": "54562e14ba8e1beccc05449b5cdd8de42b9e08fed59a411f6f7209a9a179fd9e",
     "patterns.md": "89615180fcf80d2dfa61e667d30e9133aae5421e007e5d87a88fb7073bf83704",
@@ -950,6 +954,39 @@ class TestGoldenBundle:
             assert (fit.auc, fit.sensitivity, fit.specificity, fit.n) == (
                 rows.auc, rows.sensitivity, rows.specificity, rows.n
             )
+
+    def test_joint_fits_certify_at_the_score_direction(self, golden_csv, tmp_path):
+        # with the items alone as indicators no column is constant within a
+        # site, so every joint fit, whole-sample and per stratum, starts at
+        # the component score's own separating direction
+        items = [f"item{j + 1}" for j in range(4)]
+        result = analyze(self.config(golden_csv, tmp_path, columns=items))
+        assert result.scores.fully_missing.any()
+        joint = [(stratum, fit) for _, stratum, model, fit in result.logistic_rows if model == "multiple"]
+        assert [stratum for stratum, _ in joint] == ["", "site=10.0", "site=2.0"] * result.q
+        for _, fit in joint:
+            assert fit.iterations == 1 and not fit.aliased
+            assert fit.separated and fit.log_likelihood == 0.0 and fit.auc == 1.0
+
+    def test_joint_fits_with_an_aliased_column_start_from_zero(self, golden_csv, tmp_path):
+        # site_miss is 0 on every row placed in a site, so each stratum fit
+        # aliases it and is the fit IRLS finds from zero
+        result = analyze(self.config(golden_csv, tmp_path))
+        usable = ~result.scores.fully_missing
+        x = result.ind.values[usable].astype(float)
+        codes, levels = result.data.codes("site")
+        codes = codes[usable]
+        joint = [(c, s, f) for c, s, m, f in result.logistic_rows if m == "multiple"]
+        assert len(joint) == 3 * result.q
+        for comp, stratum, fit in joint:
+            if not stratum:
+                assert fit.iterations == 1 and not fit.aliased
+                continue
+            rows = codes == levels.index(stratum.split("=", 1)[1])
+            flag = result.scores.dichotomized[usable, int(comp.split("_")[1]) - 1].astype(int)
+            plain = fit_logistic(flag[rows], x[rows], list(result.ind.column_names))
+            assert fit.aliased == ["site_miss"] and fit.iterations == plain.iterations > 1
+            np.testing.assert_array_equal(fit.coefficients, plain.coefficients)
 
     def test_non_binary_categorical_covariate_rejected(self, golden_csv, tmp_path):
         with pytest.raises(PipelineError, match=r"^column 'grp' is categorical; covariates must be numeric$") as err:
