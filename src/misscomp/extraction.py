@@ -39,6 +39,8 @@ class ComponentScores:
     dichotomized: np.ndarray  # (n, q) uint8, 1 = high missingness side
     orientation: np.ndarray  # (q,) +1/-1 sign applied to each column
     fully_missing: np.ndarray  # (n,) bool, rows missing on every indicator
+    slopes: np.ndarray  # (k, q), scores = indicators @ slopes + intercepts
+    intercepts: np.ndarray  # (q,)
 
     @property
     def q(self) -> int:
@@ -157,21 +159,19 @@ def oriented_weights(sol: EigenSolution, q: int) -> tuple[np.ndarray, np.ndarray
 def scores(ind: IndicatorMatrix, sol: EigenSolution, q: int, cutoff: float = 0.0) -> ComponentScores:
     """Score cases on the first q components and dichotomize at the cutoff.
 
-    Indicator columns are standardized, then projected on the sign-oriented
-    scoring vectors. A score strictly above the cutoff dichotomizes to 1;
-    scores at or below it, including exactly at it, dichotomize to 0. Rows
-    missing on every indicator are scored like any other but flagged so
-    downstream analyses can exclude them.
+    Score j is Σᵢ (xᵢ − x̄ᵢ)/sdᵢ · vᵢⱼ, v the sign-oriented scoring vectors.
+    With x̄ = m/n and sd = √(m(n − m))/n from the column counts m, the
+    result keeps it as an affine map of the 0/1 indicators: ``slopes``
+    vᵢⱼ/sdᵢ and ``intercepts`` −Σᵢ x̄ᵢvᵢⱼ/sdᵢ. A score strictly above the
+    cutoff dichotomizes to 1; scores at or below it, including exactly at
+    it, dichotomize to 0. Rows missing on every indicator are scored like
+    any other but flagged so downstream analyses can exclude them.
     """
     _, vectors, signs = oriented_weights(sol, q)
     if vectors.shape[0] != ind.k:
         raise ValueError("solution dimension does not match indicator columns")
-    z = ind.values.astype(np.float64)
-    sd = z.std(axis=0)
-    z -= z.mean(axis=0)
-    z /= sd
-    s = z @ vectors
-    dich = (s > cutoff).astype(np.uint8)
-    return ComponentScores(
-        scores=s, dichotomized=dich, orientation=signs, fully_missing=ind.fully_missing_rows
-    )
+    m = ind.values.sum(axis=0, dtype=np.float64)
+    slopes = vectors / (np.sqrt(m * (ind.n - m)) / ind.n)[:, None]
+    intercepts = -(m / ind.n) @ slopes
+    s = ind.values @ slopes + intercepts
+    return ComponentScores(s, (s > cutoff).astype(np.uint8), signs, ind.fully_missing_rows, slopes, intercepts)

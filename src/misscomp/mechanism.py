@@ -226,11 +226,11 @@ def fit_logistic(
     total count), so a fit on a table's distinct rows equals the fit on the
     rows it counts.
 
-    ``start`` holds candidate coefficients, intercept first. It becomes the
-    first iterate only when no design column is aliased and it already
-    certifies complete separation (below); the fit then stops at iteration
-    1 with ``start`` as its coefficients. Otherwise IRLS starts from zero,
-    and the fit is bit for bit the one without ``start``.
+    ``start`` holds candidate coefficients, intercept first. Its entries for
+    the design columns not aliased become the first iterate only when
+    they already certify complete separation (below); the fit then stops
+    at iteration 1 with them as its coefficients. Otherwise IRLS starts
+    from zero, and the fit is bit for bit the one without ``start``.
 
     An iterate that fits every y = 1 row above one half and every y = 0 row
     below it certifies complete separation (its linear predictor splits the
@@ -280,8 +280,8 @@ def fit_logistic(
     actual = y == 1.0
 
     beta = np.zeros(design.shape[1])
-    if start is not None and not aliased and _certifies(special.expit(design @ start), actual):
-        beta = start.copy()
+    if start is not None and _certifies(special.expit(design @ start[kept]), actual):
+        beta = start[kept]
     converged = certified = singular = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
@@ -313,7 +313,7 @@ def fit_logistic(
     if not separated:
         # predictor scale for the runaway-coefficient check, an n×k
         # temporary that only this check reads
-        sds = design.std(axis=0) if weights is None else np.sqrt(fw @ (design - fw @ design / n) ** 2 / n)
+        sds = np.sqrt(fw @ (design - fw @ design / n) ** 2 / n)
         sds[0] = 1.0
         separated = bool(np.max(np.abs(beta * sds)) > SEPARATION_COEF_BOUND)
     tiny = 1e-300
@@ -391,9 +391,9 @@ def stratified_rerun(
     its own rows of it, and no fit runs when ``design_names`` is empty.
     ``start`` goes to every stratum fit (see ``fit_logistic``): a direction
     that separates the flag on all rows separates it on each stratum's
-    rows, so those fits stop at iteration 1 unless a column is aliased
-    within the stratum. ``rows`` picks the rows of ``data`` that
-    ``component_flag`` and ``design`` describe, as in ``screen``.
+    rows, so those fits stop at iteration 1 unless an aliased column (never
+    an all-zero one) carried part of the split. ``rows`` picks the rows of
+    ``data`` that ``component_flag`` and ``design`` describe, as in ``screen``.
     Levels whose flag has a single class are reported not testable rather
     than fitted. Rows with a missing stratum value are left out entirely.
     Strata are named and ordered by ``Dataset.codes``, so a numeric strata

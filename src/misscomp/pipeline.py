@@ -96,6 +96,8 @@ class RunConfig:
             raise ValueError(f"pa_reps must be at least 1, got {self.pa_reps}")
         if not 0.0 < self.pa_percentile < 1.0:
             raise ValueError(f"pa_percentile must be in (0, 1), got {self.pa_percentile}")
+        if not np.isfinite(self.cutoff):
+            raise ValueError(f"cutoff must be finite, got {self.cutoff}")
         problem = _delimiter_error(self.delimiter)
         if problem:
             raise ValueError(problem)
@@ -401,7 +403,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     solution = extraction.pca(corr) if config.extraction_method == PCA else extraction.paf(corr, q)
     if not solution.converged:
         notes.append("principal axis factoring did not converge; last iterate reported")
-    oriented, vectors, _ = extraction.oriented_weights(solution, q)
+    oriented = extraction.oriented_weights(solution, q)[0]
     comp_scores = extraction.scores(ind, solution, q, cutoff=config.cutoff)
     done("step4-extraction", f"extracted {q} component(s) with {config.extraction_method}")
 
@@ -429,16 +431,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
         cov = cov[usable]
         keep = np.isfinite(cov).all(axis=1)
 
-    # score j is Σᵢ (xᵢ − x̄ᵢ)/sdᵢ · vᵢⱼ and its flag that score above the
-    # cutoff, so the intercept −Σᵢ x̄ᵢvᵢⱼ/sdᵢ − tⱼ and slopes vᵢⱼ/sdᵢ split
-    # the flag wherever tⱼ falls between the classes' scores; x̄ and sd come
-    # from the indicator counts m, which takes no float copy of the indicators
-    m = ind.values.sum(axis=0, dtype=np.float64)
-    slopes = vectors / (np.sqrt(m * (ind.n - m)) / ind.n)[:, None]
-    intercepts = -(m / ind.n) @ slopes
-
     # (label, flags over the usable rows, separating start of the joint
-    # fits) of each component with both classes
+    # fits) of each component with both classes; the start is the score's
+    # own map, cut midway between the classes' scores
     testable: list[tuple[str, np.ndarray, np.ndarray]] = []
     for j, flag in enumerate(np.array(comp_scores.dichotomized[usable].T, dtype=int, order="C")):
         label = f"component_{j + 1}"
@@ -447,7 +442,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
             continue
         s = comp_scores.scores[usable, j]
         gap = (s[flag == 0].max() + s[flag == 1].min()) / 2.0
-        testable.append((label, flag, np.r_[intercepts[j] - gap, slopes[:, j]]))
+        testable.append((label, flag, np.r_[comp_scores.intercepts[j] - gap, comp_scores.slopes[:, j]]))
         for res in mechanism.screen(screen_data, flag, screen_vars, screened):
             screen_rows.append((label, "", res))
     done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")

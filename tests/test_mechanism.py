@@ -357,18 +357,28 @@ class TestStart:
         assert plain.converged and plain.standard_errors is not None
         assert_identical_fit(fit_logistic(y, x, start=np.r_[0.3, 1.0, 0.0]), plain)
 
-    def test_start_on_an_aliased_design_changes_nothing(self, rng):
+    def test_start_on_an_all_zero_column_certifies_without_it(self, rng):
+        # the fit drops the all-zero column, whose entry adds nothing to
+        # the linear predictor, so the rest of the start still separates
         y, x = self.separated(rng)
-        # a duplicated column and an all-zero one: the start separates the
-        # rows, but the fit drops a column, so IRLS starts from zero
-        for extra, start in (
-            (x[:, :1], np.r_[-0.3, self.W, 0.0]),
-            (np.zeros((len(y), 1)), np.r_[-0.3, self.W, 5.0]),
-        ):
-            design = np.column_stack([x, extra])
-            plain = fit_logistic(y, design)
-            assert plain.aliased == ["x4"] and plain.iterations > 1
-            assert_identical_fit(fit_logistic(y, design, start=start), plain)
+        design = np.column_stack([x, np.zeros(len(y))])
+        start = np.r_[-0.3, self.W, 5.0]
+        fit = fit_logistic(y, design, start=start)
+        assert fit.aliased == ["x4"] and fit.iterations == 1
+        np.testing.assert_array_equal(fit.coefficients, start[:4])
+        assert fit.separated and fit.log_likelihood == 0.0
+
+    def test_start_whose_aliased_column_carries_the_split_changes_nothing(self, rng):
+        # x4 duplicates x1 and holds x1's slope; dropping it leaves a start
+        # that no longer separates, so IRLS starts from zero
+        y, x = self.separated(rng)
+        design = np.column_stack([x, x[:, :1]])
+        start = np.r_[-0.3, 0.0, -2.0, 0.5, 1.0]
+        # on the full design the start does separate the rows
+        np.testing.assert_array_equal(start[0] + design @ start[1:] > 0, y == 1)
+        plain = fit_logistic(y, design)
+        assert plain.aliased == ["x4"] and plain.iterations > 1
+        assert_identical_fit(fit_logistic(y, design, start=start), plain)
 
     def test_weighted_rows_of_count_zero_drop_before_the_check(self):
         # the (x = 1, y = 0) cell refutes the start unless it counts zero

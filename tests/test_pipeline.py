@@ -380,6 +380,8 @@ class TestRunConfig:
             ({"delimiter": ""}, "delimiter"),
             ({"delimiter": "\n"}, "delimiter"),
             ({"delimiter": "\r"}, "delimiter"),
+            ({"cutoff": float("nan")}, "cutoff must be finite"),
+            ({"cutoff": float("inf")}, "cutoff must be finite"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, match):
@@ -727,6 +729,13 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error [analyze]: delimiter must be one character")
 
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+    def test_analyze_non_finite_cutoff(self, synthetic_csv, tmp_path, capsys, cutoff):
+        rc = cli.main(["analyze", "--input", str(synthetic_csv), "--out", str(tmp_path), f"--cutoff={cutoff}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error [analyze]: cutoff must be finite")
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_analyze_categorical_covariate(self, synthetic_csv, tmp_path, capsys):
         rc = cli.main(
             ["analyze", "--input", str(synthetic_csv), "--out", str(tmp_path), "--seed", "123",
@@ -894,11 +903,14 @@ def golden_csv(tmp_path_factory):
 # It was re-recorded again when the whole-sample joint fits began to start
 # at the component score's own separating direction: only the coefficient
 # cells of the multiple rows moved, to another separating direction at an
-# arbitrary scale.
+# arbitrary scale. It was re-recorded once more when the stratum joint fits,
+# which alias the all-zero site_miss column, began to start at that same
+# direction restricted to the kept columns: only the coefficient cells of
+# the stratum multiple rows moved, to the whole-sample separating direction.
 GOLDEN_DIGESTS = {
     "loadings.csv": "4e439111979192ded9ef9ed4c2ff7df2c9af79f50e081ab690920a23ef714be2",
     "loadings.md": "04d120c61d2970c46bb9e8576f5d6452dead939b0b64bef95bcc73ea2b4874df",
-    "logistic.csv": "7f8eb990ca9ff15aabf196a1ae4e8e7b521a19fe00814dec1c1f0cfa516ef34e",
+    "logistic.csv": "c10b4114c6bba0bc35bc721c21e5f48fecc9d47cb52ac074b27107dba2c943fa",
     "patterns.csv": "f105cf94e1098678cf5fa3e852190b5380939276619605386f0407dee0a7f772",
     "patterns.json": "54562e14ba8e1beccc05449b5cdd8de42b9e08fed59a411f6f7209a9a179fd9e",
     "patterns.md": "89615180fcf80d2dfa61e667d30e9133aae5421e007e5d87a88fb7073bf83704",
@@ -968,25 +980,20 @@ class TestGoldenBundle:
             assert fit.iterations == 1 and not fit.aliased
             assert fit.separated and fit.log_likelihood == 0.0 and fit.auc == 1.0
 
-    def test_joint_fits_with_an_aliased_column_start_from_zero(self, golden_csv, tmp_path):
+    def test_joint_fits_with_an_aliased_column_start_at_the_score_direction(self, golden_csv, tmp_path):
         # site_miss is 0 on every row placed in a site, so each stratum fit
-        # aliases it and is the fit IRLS finds from zero
+        # aliases it; a zero column adds nothing to the linear predictor, so
+        # the start without it still certifies at iteration 1
         result = analyze(self.config(golden_csv, tmp_path))
-        usable = ~result.scores.fully_missing
-        x = result.ind.values[usable].astype(float)
-        codes, levels = result.data.codes("site")
-        codes = codes[usable]
         joint = [(c, s, f) for c, s, m, f in result.logistic_rows if m == "multiple"]
         assert len(joint) == 3 * result.q
+        whole = {c: f for c, s, f in joint if not s}
         for comp, stratum, fit in joint:
-            if not stratum:
-                assert fit.iterations == 1 and not fit.aliased
-                continue
-            rows = codes == levels.index(stratum.split("=", 1)[1])
-            flag = result.scores.dichotomized[usable, int(comp.split("_")[1]) - 1].astype(int)
-            plain = fit_logistic(flag[rows], x[rows], list(result.ind.column_names))
-            assert fit.aliased == ["site_miss"] and fit.iterations == plain.iterations > 1
-            np.testing.assert_array_equal(fit.coefficients, plain.coefficients)
+            assert fit.aliased == (["site_miss"] if stratum else [])
+            assert fit.iterations == 1 and fit.separated and fit.log_likelihood == 0.0
+            # the whole-sample direction without site_miss's entry
+            kept = [whole[comp].parameter_names.index(name) for name in fit.parameter_names]
+            np.testing.assert_array_equal(fit.coefficients, whole[comp].coefficients[kept])
 
     def test_non_binary_categorical_covariate_rejected(self, golden_csv, tmp_path):
         with pytest.raises(PipelineError, match=r"^column 'grp' is categorical; covariates must be numeric$") as err:

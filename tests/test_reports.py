@@ -297,6 +297,8 @@ class TestScoresCsv:
             dichotomized=np.array([[1, 0], [0, 0], [1, 1]], dtype=np.uint8),
             orientation=np.array([1, -1]),
             fully_missing=np.array([False, True, False]),
+            slopes=np.ones((4, 2)),
+            intercepts=np.zeros(2),
         )
         path = tmp_path / "scores.csv"
         reports.write_scores_csv(path, scores)
