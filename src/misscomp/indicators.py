@@ -15,8 +15,8 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# cap, in entries, on each scratch array of a co-occurrence count and of a
-# block of permutation-null replications (1 MB of float64 copies)
+# cap, in entries, on each scratch array of a co-occurrence count (1 MB of
+# float64 copies) and of a block of permutation-null keys (512 kB of uint32)
 SCRATCH_ENTRIES = 1 << 17
 
 

@@ -18,6 +18,9 @@ CRITERIA = (KAISER, EKC, PARALLEL, PROFILE_LIKELIHOOD)
 PA_REPS = 100
 PA_PERCENTILE = 0.95
 PL_VARIANCE_FLOOR = 1e-12
+# rows a float32 product of 0/1 copies may sum: float32 holds every integer
+# up to 2**24 exactly, so every partial count is exact
+EXACT_ROWS = 1 << 24
 
 
 @dataclass
@@ -69,64 +72,116 @@ def ekc(eigenvalues: np.ndarray, n: int, k: int) -> RetentionDecision:
     return RetentionDecision(EKC, _leading_run(e, refs), refs)
 
 
+def _null_generators(seed: int) -> tuple[np.random.PCG64, np.random.PCG64]:
+    """The null's bit generators: one draws the keys, one redraws tied rows."""
+    keys, ties = np.random.SeedSequence(seed).spawn(2)
+    return np.random.PCG64(keys), np.random.PCG64(ties)
+
+
+def _uint32_keys(bitgen: np.random.PCG64, rows: int, width: int) -> np.ndarray:
+    """(rows, width) uniform uint32 keys, a view of a freshly drawn block.
+
+    Each row reads the next ceil(width / 2) raw outputs as little-endian
+    uint32 pairs, low half first, and keeps the first ``width``.
+    """
+    raw = bitgen.random_raw((rows, (width + 1) // 2))
+    return np.asarray(raw, dtype="<u8").view("<u4")[:, :width]
+
+
+def _counts(copies: np.ndarray) -> np.ndarray:
+    """Co-occurrence counts P Pᵀ of a stack of (k, n) float32 0/1 copies, as float64.
+
+    Each float32 product sums at most ``EXACT_ROWS`` rows, so every count
+    is an integer float32 holds exactly.
+    """
+    counts = np.zeros(copies.shape[:-1] + copies.shape[-2:-1])
+    for first in range(0, copies.shape[-1], EXACT_ROWS):
+        part = copies[..., first : first + EXACT_ROWS]
+        counts += part @ part.swapaxes(-1, -2)
+    return counts
+
+
+def _place_ones(keys: np.ndarray, m: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Overwrite (b, k, n) uint32 keys in place with float32 0/1 copies.
+
+    Row j gets ones at its keys up to its m_j-th smallest, so exactly m_j
+    of them unless that key ties with a larger one. Each key row is padded
+    in ``chunk`` with top - m_j zeros and m_j - min(m) entries of 2³² - 1,
+    top = max(m), so one ``partition`` at rank top - 1 finds every row's
+    threshold.
+    """
+    b, k, n = keys.shape
+    top = int(m.max())
+    ramp = np.arange(chunk.shape[1] - n)
+    gap = top - m
+    # a chunk holds whole replications or, when k rows do not fit, part of
+    # one: when k·n is odd a block's rows are not one evenly strided stack
+    per_chunk = max(1, len(chunk) // k)
+    cols = min(k, len(chunk))
+    for i in range(0, b, per_chunk):
+        for j in range(0, k, cols):
+            piece = keys[i : i + per_chunk, j : j + cols]
+            padded = chunk[: piece.shape[0] * piece.shape[1]].reshape(*piece.shape[:2], -1)
+            padded[..., :n] = piece
+            pads = padded[..., n:]
+            np.greater_equal(ramp, gap[j : j + cols, None], out=pads)
+            pads *= np.uint32(2**32 - 1)
+            padded.partition(top - 1, axis=-1)
+            limits = padded[..., top - 1 : top]
+            np.less_equal(piece, limits, out=piece.view(np.float32), casting="unsafe")
+    return keys.view(np.float32)
+
+
+def _untied_row(bitgen: np.random.PCG64, n: int, ones: int) -> np.ndarray:
+    """A 0/1 row with ``ones`` ones at its smallest keys, redrawn until they are set apart."""
+    while True:
+        keys = _uint32_keys(bitgen, 1, n)[0]
+        limit = np.partition(keys, ones - 1)[ones - 1]
+        row = keys <= limit
+        if np.count_nonzero(row) == ones:
+            return row
+
+
 def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
     """Eigenvalue spectra of column-permuted copies of the indicators.
 
-    One generator seeded with ``seed`` draws a uniform key for every
-    (replication, column, row), in that order, so the result is identical
-    however the work is scheduled. In each replication column j puts its
-    m_j ones at the rows of its m_j smallest keys, a uniformly random
-    arrangement of its own count of ones. Each key row is padded with
-    top - m_j entries below every key and m_j - min(m) above, top = max(m),
-    so one ``partition`` at rank top - 1 finds every row's threshold; the
-    keys at or below it become the ones. A row tied at its threshold (keys
-    repeat with probability about n²/2^54) is settled by the stable order of
-    its keys, so it still holds exactly m_j ones. Every replication's
-    Pearson matrix follows from its exact co-occurrence counts C = P Pᵀ,
-    through ``phi`` as the observed matrix does; float64 holds C exactly,
-    since its entries are integers up to n. One block, reused, holds one
-    replication's (k, n) keys or as many as fit in ``SCRATCH_ENTRIES``
-    entries, and padded rows are partitioned in a reused chunk of at most
-    max(one padded row, ``SCRATCH_ENTRIES``) entries, so however many reps
-    run the scratch is about 8·n·k bytes plus the chunk's 1 MB; the output
-    is reps·k floats.
+    In each replication column j puts its m_j ones at the rows of its m_j
+    smallest keys, a uniformly random arrangement of its own count of ones.
+    ``SeedSequence(seed)`` spawns a key generator and a tie generator; each
+    replication takes the next ceil(k·n / 2) raw outputs of the key
+    generator as its uint32 keys, in (column, row) order, so the result is
+    identical however the work is scheduled. The copies' exact
+    co-occurrence counts C = P Pᵀ give each Pearson matrix through ``phi``,
+    as for the observed one. A row whose m_j-th smallest key ties with a
+    larger one (probability about n/2³²) shows it by a diagonal count above
+    m_j. It is redrawn from the tie generator, in (replication, column)
+    order, until its m_j smallest keys are set apart, and its replication is
+    recounted; whether a row ties does not depend on where its keys sit, so
+    every arrangement stays equally likely. A block holds one replication's
+    keys or as many as fit in ``SCRATCH_ENTRIES`` entries, and rows are
+    partitioned in a reused chunk of at most max(one padded row,
+    ``SCRATCH_ENTRIES``) entries, so however many reps run the scratch is
+    about 4·n·k bytes plus the chunk's 512 kB; the output is reps·k floats.
     """
     n, k = ind.values.shape
     m = ind.values.sum(axis=0, dtype=np.int64)
-    top = int(m.max())
-    # entry a of row j's padding is 2a + 1 - 2(top - m_j): its first top - m_j
-    # entries are at most -1, below every key, and the rest at least 1, above
-    ramp = 2.0 * np.arange(top - m.min()) + 1.0
-    shift = 2.0 * (top - m)
-    width = n + len(ramp)
-    chunk = np.empty((max(1, SCRATCH_ENTRIES // width), width))
-    rng = np.random.default_rng(seed)
+    width = n + int(m.max() - m.min())
+    chunk = np.empty((max(1, SCRATCH_ENTRIES // width), width), dtype=np.uint32)
+    key_gen, tie_gen = _null_generators(seed)
     out = np.empty((reps, k))
     batch = min(reps, max(1, SCRATCH_ENTRIES // max(n * k, k * k)))
-    block = np.empty((batch, k, n))
     for start in range(0, reps, batch):
         stop = min(start + batch, reps)
-        keys = block[: stop - start]
-        rng.random(out=keys)
-        rows = keys.reshape(-1, n)
-        limits = np.empty(len(rows))
-        for first in range(0, len(rows), len(chunk)):
-            padded = chunk[: len(rows) - first]
-            span = slice(first, first + len(padded))
-            padded[:, :n] = rows[span]
-            np.subtract(ramp, shift[np.arange(first, span.stop) % k, None], out=padded[:, n:])
-            padded.partition(top - 1, axis=1)
-            limits[span] = padded[:, top - 1]
-            # a key above the threshold rank that equals the threshold would
-            # make one too many ones
-            tied = padded[:, top:].min(axis=1) == limits[span]
-            for r in first + np.flatnonzero(tied):
-                # replace the keys by their stable ranks: the first m_j are the ones
-                rows[r, np.argsort(rows[r], kind="stable")] = np.arange(n)
-                limits[r] = m[r % k] - 1
-        np.less_equal(keys, limits.reshape(-1, k, 1), out=keys, casting="unsafe")
-        corr = phi(keys @ keys.swapaxes(-1, -2), n)
-        out[start:stop] = np.linalg.eigvalsh(corr)[:, ::-1]
+        copies = _place_ones(_uint32_keys(key_gen, stop - start, k * n).reshape(-1, k, n), m, chunk)
+        counts = _counts(copies)
+        tied = np.argwhere(np.diagonal(counts, axis1=-2, axis2=-1) != m)
+        for i, j in tied:
+            copies[i, j] = _untied_row(tie_gen, n, int(m[j]))
+        for i in np.unique(tied[:, 0]):
+            counts[i] = _counts(copies[i])
+        out[start:stop] = np.linalg.eigvalsh(phi(counts, n))[:, ::-1]
+        # random_raw returns a fresh block: drop this one before the next is drawn
+        del copies
     return out
 
 

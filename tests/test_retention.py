@@ -216,29 +216,50 @@ class TestParallelAnalysis:
         assert decision.converged
 
 
+def null_generators(seed):
+    """The null's key and tie bit generators, spawned from ``SeedSequence(seed)``."""
+    return [np.random.PCG64(child) for child in np.random.SeedSequence(seed).spawn(2)]
+
+
+def uint32_halves(bitgen, count):
+    """The next ceil(count / 2) raw outputs split into uint32 halves, low half first."""
+    raw = bitgen.random_raw((count + 1) // 2)
+    halves = np.column_stack([raw & 0xFFFFFFFF, raw >> 32]).ravel()
+    return halves[:count].astype(np.uint32)
+
+
 def null_keys(ind, reps, seed):
-    """The null's keys redrawn: one uniform per (replication, column, row)."""
-    return np.random.default_rng(seed).random((reps, ind.k, ind.n))
+    """The null's keys redrawn: k·n uint32 halves per replication, (column, row) order."""
+    keys = null_generators(seed)[0]
+    return np.stack(
+        [uint32_halves(keys, ind.k * ind.n).reshape(ind.k, ind.n) for _ in range(reps)]
+    )
 
 
-def placed_copies(ind, keys):
+def placed_copies(ind, keys, seed):
     """Each replication's (n, k) 0/1 copy: column j's ones at its m_j smallest keys.
 
-    Rows are ranked with a stable ``argsort``, never ``partition``, so a tie
-    goes to the earlier row.
+    Rows are ranked with ``argsort``, never ``partition``. A key row whose
+    m_j-th and (m_j + 1)-th smallest keys are equal is replaced, in
+    (replication, column) order, by rows drawn from the tie generator of
+    ``seed`` until one is not.
     """
     m = ind.values.sum(axis=0)
+    ties = null_generators(seed)[1]
     for rep in keys:
         x = np.zeros((ind.n, ind.k), dtype=np.uint8)
         for j in range(ind.k):
-            x[np.argsort(rep[j], kind="stable")[: m[j]], j] = 1
+            row = rep[j]
+            while np.sort(row)[m[j] - 1] == np.sort(row)[m[j]]:
+                row = uint32_halves(ties, ind.n)
+            x[np.argsort(row)[: m[j]], j] = 1
         yield x
 
 
 def reference_null(ind, reps, seed):
     """Independent oracle: centre and normalise each permuted copy in float64."""
     out = np.empty((reps, ind.k))
-    for r, x in enumerate(placed_copies(ind, null_keys(ind, reps, seed))):
+    for r, x in enumerate(placed_copies(ind, null_keys(ind, reps, seed), seed)):
         x = x.astype(np.float64)
         z = x - x.mean(axis=0)
         norms = np.sqrt((z * z).sum(axis=0))
@@ -246,7 +267,7 @@ def reference_null(ind, reps, seed):
     return out
 
 
-def stream_null(ind, keys):
+def stream_null(ind, keys, seed):
     """Stream oracle: the null of the copies the keys place, in the other layout.
 
     It places the ones by sorting, not partitioning, and counts
@@ -259,23 +280,27 @@ def stream_null(ind, keys):
     m = ind.values.sum(axis=0, dtype=np.float64)
     s = np.sqrt(n * m - m * m)
     out = np.empty((len(keys), ind.k))
-    for r, x in enumerate(placed_copies(ind, keys)):
+    for r, x in enumerate(placed_copies(ind, keys, seed)):
         corr = (indicators.cooccurrence(x) * n - np.outer(m, m)) / np.outer(s, s)
         out[r] = np.linalg.eigvalsh(corr)[::-1]
     return out
 
 
-class CoarseKeys:
-    """A generator whose keys are multiples of 1/8, so rows tie at their thresholds."""
+# the top bit of each uint32 key: two levels, so nearly every row ties
+COARSE = 0x80000000
 
-    def __init__(self, seed):
-        self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def random(self, out):
-        self.rng.random(out=out)
-        np.floor(out * 8, out=out)
-        out /= 8
-        return out
+class CoarseKeys(np.random.PCG64):
+    """A key generator whose uint32 halves keep only their ``COARSE`` bits."""
+
+    def random_raw(self, size=None, output=True):
+        return super().random_raw(size) & np.uint64(COARSE << 32 | COARSE)
+
+
+def coarse_generators(seed):
+    """The null's generators with the keys coarsened and the tie generator untouched."""
+    keys, ties = np.random.SeedSequence(seed).spawn(2)
+    return CoarseKeys(keys), np.random.PCG64(ties)
 
 
 class TestPermutationNull:
@@ -300,16 +325,31 @@ class TestPermutationNull:
         ind = self._indicators(rng, n, k)
         np.testing.assert_array_equal(
             retention._permutation_null(ind, reps, seed=8),
-            stream_null(ind, null_keys(ind, reps, seed=8)),
+            stream_null(ind, null_keys(ind, reps, seed=8), seed=8),
         )
 
-    @pytest.mark.parametrize("cap", [50, 20_000])
+    @pytest.mark.parametrize("cap", [50, 20_000, 6_000])
     def test_small_caps_split_replications_into_blocks(self, rng, monkeypatch, cap):
         # 50 entries: one replication per block and one padded row per
-        # chunk; 20000: six blocks of two replications each, in chunks
+        # chunk; 20000: blocks of two replications, one per chunk; 6000:
+        # blocks of one replication, a few of its rows per chunk. At the
+        # default cap a chunk holds several replications. k·n = 7007 is
+        # odd, so each replication leaves the last half of its last raw
+        # output unread.
+        for n, k in [(1000, 8), (1001, 7)]:
+            ind = self._indicators(rng, n, k)
+            default = retention._permutation_null(ind, 12, seed=3)
+            with monkeypatch.context() as patch:
+                patch.setattr(retention, "SCRATCH_ENTRIES", cap)
+                np.testing.assert_array_equal(retention._permutation_null(ind, 12, seed=3), default)
+            np.testing.assert_array_equal(default, stream_null(ind, null_keys(ind, 12, seed=3), seed=3))
+
+    def test_counts_past_the_exact_rows_are_summed_in_slices(self, rng, monkeypatch):
+        # float32 counts are exact up to 2**24 rows; longer copies are
+        # counted in row slices, which must change no bit of the spectra
         ind = self._indicators(rng, 1000, 8)
         default = retention._permutation_null(ind, 12, seed=3)
-        monkeypatch.setattr(retention, "SCRATCH_ENTRIES", cap)
+        monkeypatch.setattr(retention, "EXACT_ROWS", 7)
         np.testing.assert_array_equal(retention._permutation_null(ind, 12, seed=3), default)
 
     def test_single_ones_coincide_a_quarter_of_the_time(self):
@@ -326,25 +366,47 @@ class TestPermutationNull:
         sd = np.sqrt(0.25 * 0.75 / reps)
         assert abs(together.mean() - 0.25) <= 4 * sd
 
-    def test_ties_at_the_threshold_keep_every_count(self, rng, monkeypatch):
-        # keys on a grid of 1/8 tie at nearly every threshold; each row must
-        # still hold exactly m_j ones, placed by the stable order of its keys
-        ind = self._indicators(rng, 300, 7)
-        diagonals = []
+    def _recorded_counts(self, monkeypatch, ind, reps, seed):
+        """The null's spectra from coarse keys, and every count matrix it passed to ``phi``."""
+        counts = []
 
-        def recording_phi(counts, n):
-            diagonals.append(np.diagonal(counts, axis1=-2, axis2=-1).copy())
-            return indicators.phi(counts, n)
+        def recording_phi(c, n):
+            counts.append(c.copy())
+            return indicators.phi(c, n)
 
         monkeypatch.setattr(retention, "phi", recording_phi)
-        monkeypatch.setattr(retention.np.random, "default_rng", CoarseKeys)
-        got = retention._permutation_null(ind, 20, seed=4)
+        monkeypatch.setattr(retention, "_null_generators", coarse_generators)
+        return retention._permutation_null(ind, reps, seed), np.concatenate(counts)
+
+    def test_ties_at_the_threshold_keep_every_count(self, rng, monkeypatch):
+        # keys on two levels tie at nearly every threshold; each tied row is
+        # redrawn from the tie generator, so every column still holds
+        # exactly m_j ones, in the order the stream oracle redraws them
+        ind = self._indicators(rng, 300, 7)
+        got, counts = self._recorded_counts(monkeypatch, ind, 20, seed=4)
+        keys = null_keys(ind, 20, seed=4) & np.uint32(COARSE)
         m = ind.values.sum(axis=0)
-        assert diagonals
-        for diagonal in diagonals:
-            assert (diagonal == m).all()
-        keys = CoarseKeys(4).random(np.empty((20, ind.k, ind.n)))
-        np.testing.assert_array_equal(got, stream_null(ind, keys))
+        ranked = np.sort(keys, axis=-1)
+        columns = np.arange(ind.k)
+        tied = ranked[:, columns, m - 1] == ranked[:, columns, m]
+        assert tied.mean() > 0.9
+        assert (np.diagonal(counts, axis1=-2, axis2=-1) == m).all()
+        np.testing.assert_array_equal(got, stream_null(ind, keys, seed=4))
+
+    def test_tied_rows_keep_the_hypergeometric_law(self, rng, monkeypatch):
+        # columns with 2 and 3 ones among 6 rows share k rows with
+        # probability C(3, k) C(3, 2 - k) / C(6, 2) = 0.2, 0.6, 0.2. About
+        # three rows in four tie on two key levels; settling each tie by the
+        # earlier rows instead gave 0.136, 0.542, 0.322
+        values = np.zeros((6, 2), dtype=np.uint8)
+        values[:2, 0] = 1
+        values[3:, 1] = 1
+        reps = 4000
+        _, counts = self._recorded_counts(monkeypatch, indicator_matrix(values), reps, seed=9)
+        assert (np.diagonal(counts, axis1=-2, axis2=-1) == [2, 3]).all()
+        shared = np.bincount(counts[:, 0, 1].astype(int), minlength=3) / reps
+        law = np.array([0.2, 0.6, 0.2])
+        assert (np.abs(shared - law) <= 4 * np.sqrt(law * (1 - law) / reps)).all()
 
     def test_extreme_marginals_give_a_finite_null(self):
         # a column with a single one and a column with a single zero: the
@@ -377,11 +439,12 @@ class TestPermutationNull:
         assert self._traced_peak(ind, 100) < 16 * 2**20
 
     def test_scratch_is_one_key_block_and_a_chunk(self, rng):
-        # one replication's float64 keys plus a partition chunk of at most
-        # SCRATCH_ENTRIES entries (1 MB)
+        # one replication's uint32 keys plus a uint32 partition chunk of at
+        # most SCRATCH_ENTRIES entries (512 kB); float64 keys and chunk
+        # peaked at 1.8 MiB
         n, k = 5000, 20
         ind = self._indicators(rng, n, k)
-        assert self._traced_peak(ind, 100) <= 8 * n * k + 2 * 2**20
+        assert self._traced_peak(ind, 100) <= 4 * n * k + 2**20
 
 
 class TestGuidance:
