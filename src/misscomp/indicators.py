@@ -279,9 +279,11 @@ def build_indicators(data: Dataset, selected_columns: list[str] | None = None) -
         selected_columns = list(data.column_names)
     if not selected_columns:
         raise ValueError("selected_columns must be nonempty")
-    for name in selected_columns:
+    for i, name in enumerate(selected_columns):
         if name not in data.column_names:
             raise ColumnNotFoundError(name)
+        if name in selected_columns[:i]:
+            raise ValueError(f"column {name!r} is selected more than once")
     ind = from_mask(np.column_stack([data.missing_mask(c) for c in selected_columns]), selected_columns)
     if not ind.k:
         raise EmptyIndicatorError(

@@ -224,7 +224,9 @@ def fit_logistic(
     100 iterations pass. ``weights`` are frequency weights (row i stands for
     weights[i] identical rows; rows of count zero drop out, and ``n`` is the
     total count), so a fit on a table's distinct rows equals the fit on the
-    rows it counts.
+    rows it counts. ``x`` may hold any real dtype (bool, integer or float);
+    the fit's one float64 design, intercept first, is cast from it as it is
+    built, so 0/1 indicators need no float copy of their own.
 
     ``start`` holds candidate coefficients, intercept first. Its entries for
     the design columns not aliased become the first iterate only when
@@ -245,7 +247,9 @@ def fit_logistic(
     available.
     """
     y = np.asarray(y).astype(np.float64)
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(x))
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"predictors must be real numbers, got dtype {x.dtype}")
     if x.shape[0] != len(y):
         raise ValueError("y and x must have the same number of rows")
     if weights is not None:
@@ -364,6 +368,19 @@ def fit_logistic(
     )
 
 
+def strata_levels(
+    data: Dataset, strata: str, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Codes of ``strata`` over ``rows`` (as in ``screen``), its level names,
+    and the codes of the levels present there, which must be at least 2."""
+    codes, names = data.codes(strata)
+    codes = codes[_rows(rows)]
+    seen = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
+    if len(seen) < 2:
+        raise ValueError("strata column must have at least 2 levels")
+    return codes, names, seen
+
+
 @dataclass
 class StratumResult:
     stratum: str
@@ -387,8 +404,10 @@ def stratified_rerun(
     """Repeat screens and logistic fits inside each stratum level.
 
     ``design`` holds the predictors of the stratum fit, one row per row of
-    ``data`` and one column per name in ``design_names``; each stratum fits
-    its own rows of it, and no fit runs when ``design_names`` is empty.
+    ``data`` and one column per name in ``design_names``, in any real dtype
+    (``analyze`` passes the uint8 indicators); each stratum fits a copy of
+    its own rows of it, which ``fit_logistic`` casts into its float64
+    design, and no fit runs when ``design_names`` is empty.
     ``start`` goes to every stratum fit (see ``fit_logistic``): a direction
     that separates the flag on all rows separates it on each stratum's
     rows, so those fits stop at iteration 1 unless an aliased column (never
@@ -403,11 +422,7 @@ def stratified_rerun(
     index = np.arange(data.n)[_rows(rows)]
     if flag.shape != index.shape:
         raise ValueError("component_flag must align with dataset rows")
-    codes, names = data.codes(strata)
-    codes = codes[index]
-    seen = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
-    if len(seen) < 2:
-        raise ValueError("strata column must have at least 2 levels")
+    codes, names, seen = strata_levels(data, strata, index)
     out = []
     for code in seen:
         level = names[code]

@@ -330,8 +330,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
 
     A configuration that fails ``RunConfig.validate`` raises ValueError
     before the input is read. Past that, failures raise PipelineError with
-    the failing step's label; covariate and strata names, and the
-    covariates' numeric kind, are checked against the data right after
+    the failing step's label; covariate and strata names, the covariates'
+    numeric kind and the strata column's 2 levels among the rows not
+    missing on every indicator are checked against the data right after
     step 1. A retention outcome of zero components is not an error, the
     remaining steps are skipped with that reason.
     """
@@ -365,8 +366,14 @@ def analyze(config: RunConfig) -> AnalysisResult:
             cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])
         except ValueError as exc:
             raise PipelineError("step7-logistic", str(exc)) from exc
-    if config.strata_column and config.strata_column not in data.column_names:
-        raise PipelineError("step8-strata", f"strata column {config.strata_column!r} not in dataset")
+    if config.strata_column:
+        if config.strata_column not in data.column_names:
+            raise PipelineError("step8-strata", f"strata column {config.strata_column!r} not in dataset")
+        # step 8 runs on the rows not missing on every indicator, known already
+        try:
+            mechanism.strata_levels(data, config.strata_column, ~ind.fully_missing_rows)
+        except ValueError as exc:
+            raise PipelineError("step8-strata", str(exc)) from exc
 
     # step 2: correlation of indicators (repair to positive definite if needed)
     try:
@@ -447,14 +454,14 @@ def analyze(config: RunConfig) -> AnalysisResult:
             screen_rows.append((label, "", res))
     done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")
 
-    x_ind = ind.values[usable].astype(np.float64)
+    x_ind = ind.values[usable]  # uint8; each fit casts its own float64 design
     # a fit on one 0/1 indicator depends only on its 2x2 table against the
     # flag, so it runs on the table's four cells weighted by their counts
     cell_x = np.array([[1.0], [1.0], [0.0], [0.0]])
     cell_y = np.array([1, 0, 1, 0])
-    n_ones = x_ind.sum(axis=0)
+    n_ones = x_ind.sum(axis=0, dtype=np.int64)
     for label, flag, start in testable:
-        both = flag @ x_ind
+        both = x_ind[flag == 1].sum(axis=0, dtype=np.int64)
         n_high = flag.sum()
         tables = np.column_stack([both, n_ones - both, n_high - both, len(flag) - n_ones - n_high + both])
         for ind_name, counts in zip(indicator_names, tables):
@@ -477,13 +484,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
         if n_unplaced:
             notes.append(f"{n_unplaced} usable row(s) missing {config.strata_column!r} left out of strata")
         for label, flag, start in testable:
-            try:
-                reruns = mechanism.stratified_rerun(
-                    screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names, start,
-                    screened,
-                )
-            except ValueError as exc:
-                raise PipelineError("step8-strata", str(exc)) from exc
+            reruns = mechanism.stratified_rerun(
+                screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names, start, screened
+            )
             for res in reruns:
                 strata_results.append(res)
                 stratum_label = f"{config.strata_column}={res.stratum}"

@@ -143,6 +143,11 @@ class TestBuildIndicators:
         with pytest.raises(ColumnNotFoundError):
             build_indicators(small_dataset, selected_columns=["y1", "ghost"])
 
+    def test_subset_repeated_name_raises(self, small_dataset):
+        # a repeated name would give two identical indicator columns
+        with pytest.raises(ValueError, match=r"^column 'y1' is selected more than once$"):
+            build_indicators(small_dataset, selected_columns=["y1", "y2", "y1"])
+
     def test_marginals(self, small_dataset):
         ind = build_indicators(small_dataset)
         np.testing.assert_allclose(ind.marginals, [3 / 8, 2 / 8, 2 / 8])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -393,6 +394,81 @@ class TestStart:
         y, x = self.separated(rng)
         with pytest.raises(ValueError, match="start"):
             fit_logistic(y, x, start=self.W)
+
+
+class TestPredictorDtypes:
+    """0/1 predictors fit the same in any real dtype: the fit casts its own
+    float64 design from them."""
+
+    W = np.array([2.0, -1.0, 1.5, 0.5])
+
+    def indicators(self, rng, n=400):
+        x = rng.random((n, len(self.W))) < 0.4
+        y = (rng.random(n) < 0.2 + 0.5 * x[:, 0]).astype(int)
+        return y, x
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_unweighted_fit_equals_the_float64_fit(self, rng, dtype):
+        y, x = self.indicators(rng)
+        plain = fit_logistic(y, x.astype(np.float64))
+        assert plain.converged and plain.standard_errors is not None
+        assert_identical_fit(fit_logistic(y, x.astype(dtype)), plain)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_weighted_fit_equals_the_float64_fit(self, rng, dtype):
+        y, x = self.indicators(rng)
+        counts = rng.integers(0, 30, size=len(y))
+        plain = fit_logistic(y, x.astype(np.float64), weights=counts)
+        assert plain.converged and plain.n == counts.sum()
+        assert_identical_fit(fit_logistic(y, x.astype(dtype), weights=counts), plain)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_certifying_start_equals_the_float64_fit(self, rng, dtype):
+        # no subset sum of W is 0.75, so the start splits every row strictly
+        x = rng.random((400, len(self.W))) < 0.4
+        y = (x @ self.W > 0.75).astype(int)
+        start = np.r_[-0.75, self.W]
+        plain = fit_logistic(y, x.astype(np.float64), start=start)
+        assert plain.iterations == 1 and plain.separated
+        assert_identical_fit(fit_logistic(y, x.astype(dtype), start=start), plain)
+
+    def test_stratum_fits_equal_the_float64_fits(self, rng):
+        y, x = self.indicators(rng)
+        g = rng.choice(["a", "b"], size=len(y))
+        data = dataset_from_arrays({"g": list(g)})
+        names = [f"m{j + 1}" for j in range(x.shape[1])]
+        want = stratified_rerun(data, y, "g", [], x.astype(np.float64), names)
+        got = stratified_rerun(data, y, "g", [], x.astype(np.uint8), names)
+        assert [r.stratum for r in got] == ["a", "b"]
+        for a, b in zip(got, want):
+            assert_identical_fit(a.fit, b.fit)
+
+    def test_uint8_fit_traces_no_float_copy_of_x(self, rng):
+        # the design is the fit's one n x (k+1) float64 array; casting x to
+        # float64 first would add 8·n·k bytes, 7.6 MiB here
+        n, k = 50000, 20
+        x = (rng.random((n, k)) < 0.3).astype(np.uint8)
+        y = (rng.random(n) < 0.2 + 0.4 * x[:, 0]).astype(int)
+
+        def peak(predictors):
+            tracemalloc.start()
+            try:
+                fit_logistic(y, predictors)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        wide = x.astype(np.float64)
+        assert peak(x) <= peak(wide) + 2**20
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.array([["1"], ["0"], ["1"], ["0"]]), np.array([[1.0], [0.0], [1.0], [0.0]], dtype=object)],
+        ids=["str", "object"],
+    )
+    def test_non_numeric_predictors_rejected(self, x):
+        with pytest.raises(ValueError, match="predictors must be real numbers"):
+            fit_logistic(np.array([1, 0, 0, 1]), x)
 
 
 class TestFitLogistic:

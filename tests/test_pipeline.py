@@ -521,8 +521,22 @@ class TestAnalyze:
             analyze(config)
         assert err.value.step == "step7-logistic"
 
-    def test_single_level_strata_is_step8_error(self, synthetic_csv, tmp_path):
+    def test_single_level_strata_is_step8_error(self, synthetic_csv, tmp_path, monkeypatch):
+        stop_at_step2(monkeypatch)
         path = with_columns(synthetic_csv, tmp_path / "wave.csv", wave=["w1"] * 400)
+        config = RunConfig(input_path=path, seed=123, strata_column="wave")
+        with pytest.raises(PipelineError, match=r"^strata column must have at least 2 levels$") as err:
+            analyze(config)
+        assert err.value.step == "step8-strata"
+
+    def test_strata_level_only_on_fully_missing_rows_is_step8_error(self, synthetic_csv, tmp_path, monkeypatch):
+        # step 8 leaves out the rows missing on every item, so a level seen
+        # only there does not count
+        with open(synthetic_csv, newline="") as fh:
+            gone = [all(cell == "" for cell in row[:5]) for row in list(csv.reader(fh))[1:]]
+        assert any(gone)
+        stop_at_step2(monkeypatch)
+        path = with_columns(synthetic_csv, tmp_path / "wave.csv", wave=["w2" if g else "w1" for g in gone])
         config = RunConfig(input_path=path, seed=123, strata_column="wave")
         with pytest.raises(PipelineError, match=r"^strata column must have at least 2 levels$") as err:
             analyze(config)
@@ -751,6 +765,17 @@ class TestCli:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error [step8-strata]: strata column must have")
+
+    @pytest.mark.parametrize("command", ["patterns", "analyze"])
+    def test_repeated_column_is_step1_error(self, synthetic_csv, tmp_path, capsys, monkeypatch, command):
+        stop_at_step2(monkeypatch)
+        rc = cli.main(
+            [command, "--input", str(synthetic_csv), "--out", str(tmp_path), "--columns", "item1,item1,item2"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error [step1-indicators]: column 'item1' is selected more than once"
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_patterns_missing_input(self, tmp_path, capsys):
         rc = cli.main(["patterns", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
