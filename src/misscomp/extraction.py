@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .indicators import IndicatorMatrix
+from .indicators import SCRATCH_ENTRIES, IndicatorMatrix
 
 PCA = "pca"
 PAF = "paf"
@@ -166,6 +166,11 @@ def scores(ind: IndicatorMatrix, sol: EigenSolution, q: int, cutoff: float = 0.0
     cutoff dichotomizes to 1; scores at or below it, including exactly at
     it, dichotomize to 0. Rows missing on every indicator are scored like
     any other but flagged so downstream analyses can exclude them.
+
+    The product runs over row chunks of at most ``SCRATCH_ENTRIES``
+    indicator cells, each cast to float64 on its own, so no n×k float64
+    copy of the indicators is made; a chunked sum may differ from the
+    whole product in the last bit.
     """
     _, vectors, signs = oriented_weights(sol, q)
     if vectors.shape[0] != ind.k:
@@ -173,5 +178,9 @@ def scores(ind: IndicatorMatrix, sol: EigenSolution, q: int, cutoff: float = 0.0
     m = ind.values.sum(axis=0, dtype=np.float64)
     slopes = vectors / (np.sqrt(m * (ind.n - m)) / ind.n)[:, None]
     intercepts = -(m / ind.n) @ slopes
-    s = ind.values @ slopes + intercepts
-    return ComponentScores(s, (s > cutoff).astype(np.uint8), signs, ind.fully_missing_rows, slopes, intercepts)
+    s = np.empty((ind.n, slopes.shape[1]))
+    step = max(1, SCRATCH_ENTRIES // max(ind.k, 1))
+    for start in range(0, ind.n, step):
+        np.matmul(ind.values[start : start + step].astype(np.float64), slopes, out=s[start : start + step])
+    s += intercepts
+    return ComponentScores(s, (s > cutoff).view(np.uint8), signs, ind.fully_missing_rows, slopes, intercepts)

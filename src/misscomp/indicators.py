@@ -15,8 +15,9 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# cap, in entries, on each scratch array of a co-occurrence count (1 MB of
-# float64 copies) and of a block of permutation-null keys (512 kB of uint32)
+# cap, in entries, on each scratch array of a co-occurrence count, a score
+# product or a joint fit's certificate (1 MB of float64 copies) and of a
+# block of permutation-null keys (512 kB of uint32)
 SCRATCH_ENTRIES = 1 << 17
 
 
@@ -121,14 +122,6 @@ class Dataset:
         if self.levels[j] is None:
             return np.isnan(self.columns[j])
         return self.columns[j] < 0
-
-    def take(self, rows: np.ndarray) -> Dataset:
-        """The dataset restricted to ``rows`` (a boolean mask or indices)."""
-        return Dataset(
-            column_names=list(self.column_names),
-            columns=[c[rows] for c in self.columns],
-            levels=list(self.levels),
-        )
 
 
 @dataclass

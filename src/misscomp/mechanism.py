@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .indicators import NUMERIC, Dataset
+from .indicators import NUMERIC, SCRATCH_ENTRIES, Dataset, cooccurrence
 
 WELCH_T = "welch_t"
 CHI_SQUARE = "chi_square"
@@ -127,8 +127,8 @@ def screen(
 
     ``rows`` (a boolean mask or indices; None for all) picks the rows of
     ``data`` that ``component_flag`` describes. The screens equal those on
-    ``data.take(rows)``, but read one column's rows at a time rather than
-    copying every column.
+    a dataset of only those rows, but read one column's rows at a time
+    rather than copying every column.
     """
     rows = _rows(rows)
     n = data.n if isinstance(rows, slice) else len(rows)
@@ -193,7 +193,11 @@ def _independent_columns(x: np.ndarray, weights: np.ndarray | None = None) -> li
     later column's squared sine to the kept span, and at most RANK_TOL (an
     all-zero column too) means aliased.
     """
-    gram = x.T @ x if weights is None else x.T @ (x * weights[:, None])
+    return _rank_pass(x.T @ x if weights is None else x.T @ (x * weights[:, None]))
+
+
+def _rank_pass(gram: np.ndarray) -> list[int]:
+    """``_independent_columns`` of the design whose Gram matrix is ``gram``."""
     d = np.sqrt(np.diag(gram))
     d[d == 0.0] = 1.0
     a = gram / np.outer(d, d)
@@ -209,6 +213,36 @@ def _certifies(mu: np.ndarray, actual: np.ndarray) -> bool:
     """Whether fitted probabilities ``mu`` put every ``actual`` row above one
     half and every other row below it, which proves complete separation."""
     return bool(np.where(actual, mu > 0.5, mu < 0.5).all())
+
+
+def _zero_one(x: np.ndarray) -> bool:
+    """Whether ``x`` is bool or integer and holds only 0 and 1."""
+    return x.dtype.kind in "biu" and (x.size == 0 or (x.min() >= 0 and x.max() <= 1))
+
+
+def _count_gram(x: np.ndarray) -> np.ndarray:
+    """Gram matrix of the design [1, x] of 0/1 ``x`` from exact counts: the
+    row count n, the column sums m and the co-occurrences C."""
+    k = x.shape[1]
+    gram = np.empty((k + 1, k + 1))
+    gram[0, 0] = x.shape[0]
+    gram[1:, 1:] = cooccurrence(x)
+    gram[0, 1:] = gram[1:, 0] = np.diag(gram[1:, 1:])
+    return gram
+
+
+def _certifies_in_chunks(x: np.ndarray, kept: list[int], beta: np.ndarray, actual: np.ndarray) -> bool:
+    """``_certifies`` at ``beta`` on the ``kept`` columns of the design
+    [1, x], cast to float64 one chunk of at most ``SCRATCH_ENTRIES``
+    design cells at a time (the intercept is never aliased)."""
+    cols = [j - 1 for j in kept[1:]]
+    step = max(1, SCRATCH_ENTRIES // len(kept))
+    for start in range(0, len(actual), step):
+        chunk = x[start : start + step, cols]
+        design = np.column_stack([np.ones(len(chunk)), chunk])
+        if not _certifies(special.expit(design @ beta), actual[start : start + step]):
+            return False
+    return True
 
 
 def fit_logistic(
@@ -232,7 +266,11 @@ def fit_logistic(
     the design columns not aliased become the first iterate only when
     they already certify complete separation (below); the fit then stops
     at iteration 1 with them as its coefficients. Otherwise IRLS starts
-    from zero, and the fit is bit for bit the one without ``start``.
+    from zero, and the fit is bit for bit the one without ``start``. An
+    unweighted fit on bool or integer 0/1 ``x`` whose start certifies
+    builds no design at all: the aliasing check reads the Gram matrix from
+    exact counts, which equal the design's entries, and the certificate
+    casts ``SCRATCH_ENTRIES`` design cells at a time.
 
     An iterate that fits every y = 1 row above one half and every y = 0 row
     below it certifies complete separation (its linear predictor splits the
@@ -256,7 +294,7 @@ def fit_logistic(
         weights = _counts(weights, len(y))
         present = weights > 0
         y, x, weights = y[present], x[present], weights[present]
-    if not np.isfinite(x).all():
+    if x.dtype.kind == "f" and not np.isfinite(x).all():
         raise ValueError("predictors must be finite")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("y must be binary")
@@ -271,17 +309,46 @@ def fit_logistic(
         if start.shape != (x.shape[1] + 1,):
             raise ValueError("start must hold an intercept and one coefficient per predictor")
 
-    design = np.column_stack([np.ones(len(y)), x])
     names = ["intercept"] + list(predictor_names)
-    kept = _independent_columns(design, weights)
-    aliased = [name for j, name in enumerate(names) if j not in kept]
-    if aliased:
-        design, names = design[:, kept], [names[j] for j in kept]
-
     # per-row counts; unweighted rows count 1, which leaves every product exact
     fw = np.ones(len(y)) if weights is None else weights
     n = fw.sum()
     actual = y == 1.0
+    pbar = np.sum(fw * y) / n
+    ll0 = float(n * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
+
+    if start is not None and weights is None and _zero_one(x):
+        # the same kept columns and certificate as the design path, with no
+        # n x (k+1) float64 design: the Gram entries are exact counts either way
+        kept = _rank_pass(_count_gram(x))
+        if _certifies_in_chunks(x, kept, start[kept], actual):
+            lr, df = -2.0 * ll0, len(kept) - 1
+            return LogisticFit(
+                parameter_names=[names[j] for j in kept],
+                coefficients=start[kept],
+                standard_errors=None,
+                log_likelihood=0.0,
+                null_log_likelihood=ll0,
+                lr_chi2=lr,
+                lr_df=df,
+                lr_p_value=_chi2_sf(lr, df) if df > 0 else np.nan,
+                pseudo_r2=1.0,
+                auc=1.0,
+                sensitivity=1.0,
+                specificity=1.0,
+                correct_pct=1.0,
+                separated=True,
+                converged=False,
+                iterations=1,
+                aliased=[name for j, name in enumerate(names) if j not in kept],
+                n=int(n),
+            )
+
+    design = np.column_stack([np.ones(len(y)), x])
+    kept = _independent_columns(design, weights)
+    aliased = [name for j, name in enumerate(names) if j not in kept]
+    if aliased:
+        design, names = design[:, kept], [names[j] for j in kept]
 
     beta = np.zeros(design.shape[1])
     if start is not None and _certifies(special.expit(design @ start[kept]), actual):
@@ -324,8 +391,6 @@ def fit_logistic(
     ll = 0.0 if certified else float(
         np.sum(fw * (y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny))))
     )
-    pbar = np.sum(fw * y) / n
-    ll0 = float(n * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
     lr = 2.0 * (ll - ll0)
     df = design.shape[1] - 1
     lr_p = _chi2_sf(lr, df) if df > 0 else np.nan
@@ -406,8 +471,9 @@ def stratified_rerun(
     ``design`` holds the predictors of the stratum fit, one row per row of
     ``data`` and one column per name in ``design_names``, in any real dtype
     (``analyze`` passes the uint8 indicators); each stratum fits a copy of
-    its own rows of it, which ``fit_logistic`` casts into its float64
-    design, and no fit runs when ``design_names`` is empty.
+    its own rows of it, which ``fit_logistic`` reads in row chunks when
+    ``start`` certifies and casts into its float64 design otherwise, and
+    no fit runs when ``design_names`` is empty.
     ``start`` goes to every stratum fit (see ``fit_logistic``): a direction
     that separates the flag on all rows separates it on each stratum's
     rows, so those fits stop at iteration 1 unless an aliased column (never

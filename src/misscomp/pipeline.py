@@ -454,7 +454,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
             screen_rows.append((label, "", res))
     done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")
 
-    x_ind = ind.values[usable]  # uint8; each fit casts its own float64 design
+    x_ind = ind.values[usable]  # uint8; only a fit that does not certify casts a float64 design
     # a fit on one 0/1 indicator depends only on its 2x2 table against the
     # flag, so it runs on the table's four cells weighted by their counts
     cell_x = np.array([[1.0], [1.0], [0.0], [0.0]])

@@ -23,6 +23,8 @@ from .simulation import SimReport
 
 SCHEMA_VERSION = 1
 LOADING_BOLD_THRESHOLD = 0.550
+# cells of scores.csv formatted as Python objects at a time
+_BLOCK_CELLS = 1 << 13
 
 
 def _fmt(x, nd: int = 6) -> str:
@@ -62,8 +64,20 @@ def write_patterns_md(path: Path, table: PatternTable) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# one pattern row as json.dump(indent=2, sort_keys=True) lays it out
+_PATTERN_ROW = (
+    '    {{\n      "count": {},\n      "n_missing_vars": {},\n      "pattern": {},\n'
+    '      "percent": {},\n      "rank": {}\n    }}'
+)
+
+
 def write_patterns_json(path: Path, table: PatternTable) -> None:
-    payload = {
+    """The table as ``json.dump(payload, indent=2, sort_keys=True)`` writes
+    it, byte for byte, with each row formatted here by the encoder's own
+    rules (``encode_basestring_ascii``, ``int.__repr__``, ``float.__repr__``):
+    with ``indent`` set json runs its pure-Python encoder, which is slower
+    and builds a dict per row. The rows are streamed to the file."""
+    head = {
         "schema_version": SCHEMA_VERSION,
         "k": table.k,
         "n": table.n,
@@ -71,20 +85,23 @@ def write_patterns_json(path: Path, table: PatternTable) -> None:
         "percent_base": table.percent_base,
         "fully_missing_dropped": table.fully_missing_dropped,
         "max_possible": table.max_possible,
-        "rows": [
-            {
-                "rank": r.rank,
-                "pattern": r.pattern,
-                "n_missing_vars": r.n_missing_vars,
-                "count": r.count,
-                "percent": r.percent,
-            }
-            for r in table.rows
-        ],
+        "rows": [],
     }
-    with open(path, "w") as fh:  # streamed, never held as one string
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    before, after = json.dumps(head, indent=2, sort_keys=True).split('"rows": []')
+    with open(path, "w") as fh:
+        fh.write(before + '"rows": [')
+        for i, r in enumerate(table.rows):
+            fh.write(",\n" if i else "\n")
+            fh.write(
+                _PATTERN_ROW.format(
+                    int.__repr__(r.count),
+                    int.__repr__(r.n_missing_vars),
+                    json.encoder.encode_basestring_ascii(r.pattern),
+                    float.__repr__(r.percent),
+                    int.__repr__(r.rank),
+                )
+            )
+        fh.write(("\n  ]" if table.rows else "]") + after + "\n")
 
 
 def write_loadings_csv(path: Path, names: list[str], loadings: np.ndarray) -> None:
@@ -231,20 +248,31 @@ def write_logistic_csv(path: Path, rows: list[tuple[str, str, str, LogisticFit]]
                 )
 
 
+def _score_rows(scores: ComponentScores, start: int, stop: int):
+    """Rows start..stop-1 of scores.csv, formatted one column at a time."""
+    columns = [range(start + 1, stop + 1)]
+    for j in range(scores.q):
+        # _fmt's rules: NaN (x != x) is an empty cell
+        score = ["" if x != x else f"{x:.6f}" for x in scores.scores[start:stop, j].tolist()]
+        columns += [score, scores.dichotomized[start:stop, j].tolist()]
+    columns.append(scores.fully_missing[start:stop].tolist())
+    return zip(*columns)
+
+
 def write_scores_csv(path: Path, scores: ComponentScores) -> None:
+    """One row per case; rows are formatted in blocks of about
+    ``_BLOCK_CELLS`` cells, so no whole column is held as Python objects."""
     header = ["row"]
-    columns = [range(1, scores.scores.shape[0] + 1)]
     for j in range(scores.q):
         header += [f"score_{j + 1}", f"dichotomized_{j + 1}"]
-        # _fmt's rules, one column at a time: NaN (x != x) is an empty cell
-        score = ["" if x != x else f"{x:.6f}" for x in scores.scores[:, j].tolist()]
-        columns += [score, scores.dichotomized[:, j].tolist()]
     header.append("fully_missing")
-    columns.append(scores.fully_missing.tolist())
+    n = scores.scores.shape[0]
+    step = max(1, _BLOCK_CELLS // len(header))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*columns))
+        for start in range(0, n, step):
+            w.writerows(_score_rows(scores, start, min(start + step, n)))
 
 
 def write_grid_csv(path: Path, report: SimReport) -> None:

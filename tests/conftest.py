@@ -23,6 +23,16 @@ def dataset_from_arrays(named_columns):
     return Dataset(column_names=list(named_columns), columns=columns, levels=levels)
 
 
+def take(data, rows):
+    """``data`` restricted to ``rows`` (a boolean mask or indices), every
+    column copied: the reference for screens and reruns that select rows."""
+    return Dataset(
+        column_names=list(data.column_names),
+        columns=[c[rows] for c in data.columns],
+        levels=list(data.levels),
+    )
+
+
 @pytest.fixture
 def small_dataset():
     # 8 rows, y1 and y2 partially missing, z complete, label categorical with holes

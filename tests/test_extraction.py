@@ -17,6 +17,7 @@ from misscomp.extraction import (
     smc,
     spectrum,
 )
+from misscomp.indicators import SCRATCH_ENTRIES
 from test_correlation import indicator_matrix
 
 
@@ -218,21 +219,25 @@ class TestScores:
             scores(ind, sol, q=1)
 
     def test_scores_are_the_affine_map_of_the_indicators(self, rng):
-        # the map comes from the column counts, so the 0/1 indicators are
-        # multiplied as they are: no standardized float64 copy, no std()
-        n, k = 20000, 30
+        # the map comes from the column counts, and the 0/1 indicators are
+        # multiplied one row chunk at a time: no float64 copy of them, no std()
+        n, k, q = 20000, 30, 3
         ind = indicator_matrix((rng.random((n, k)) < rng.uniform(0.05, 0.6, size=k)).astype(np.uint8))
         sol = pca(pearson(ind))
         tracemalloc.start()
         try:
-            sc = scores(ind, sol, q=3)
+            sc = scores(ind, sol, q=q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * k
-        np.testing.assert_array_equal(
-            sc.scores.view(np.int64), (ind.values @ sc.slopes + sc.intercepts).view(np.int64)
-        )
+        # the scores and their flags (9 B per row and component), the fully
+        # missing mask and one chunk's float64 copy, whatever k is
+        assert peak < 9 * n * q + n + 8 * SCRATCH_ENTRIES + 2**17
+        # the chunked sums may differ from the whole product in the last bit
+        whole = ind.values @ sc.slopes + sc.intercepts
+        np.testing.assert_allclose(sc.scores, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
+        np.testing.assert_array_equal(sc.dichotomized, whole > 0.0)
+        np.testing.assert_array_equal(sc.dichotomized, sc.scores > 0.0)
         x = ind.values.astype(np.float64)
         _, vectors, _ = oriented_weights(sol, 3)
         expect = ((x - x.mean(axis=0)) / x.std(axis=0)) @ vectors

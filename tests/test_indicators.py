@@ -16,7 +16,7 @@ from misscomp.indicators import (
     tabulate_patterns,
 )
 
-from conftest import dataset_from_arrays
+from conftest import dataset_from_arrays, take
 
 
 class TestDataset:
@@ -56,7 +56,7 @@ class TestDataset:
         assert [None if c < 0 else levels[c] for c in codes] == ["2.0", "10.0", None, "2.0", "-0.0", "0.0"]
 
     def test_take_keeps_levels(self, small_dataset):
-        sub = small_dataset.take(np.array([0, 2, 4]))
+        sub = take(small_dataset, np.array([0, 2, 4]))
         assert sub.n == 3
         assert sub.codes("label")[1] == ["a", "b"]
         assert sub.column("label").tolist() == ["a", None, "b"]
@@ -100,7 +100,7 @@ class TestDataset:
             Dataset(column_names=["a"], columns=[np.array([1.0])], levels=[])
 
     def test_kind_follows_levels_through_take(self, small_dataset):
-        sub = small_dataset.take(np.array([True, False] * 4))
+        sub = take(small_dataset, np.array([True, False] * 4))
         for data in (small_dataset, sub):
             assert [data.kind(name) for name in data.column_names] == [
                 NUMERIC if lv is None else CATEGORICAL for lv in data.levels

@@ -19,7 +19,7 @@ from misscomp.mechanism import (
     stratified_rerun,
 )
 
-from conftest import dataset_from_arrays
+from conftest import dataset_from_arrays, take
 
 
 def pairwise_auc(scores, labels):
@@ -149,7 +149,7 @@ class TestScreen:
         data = dataset_from_arrays({"x": list(x), "g": g})
         keep = rng.random(n) < 0.7
         flag = (rng.random(keep.sum()) < 0.4).astype(int)
-        want = screen(data.take(keep), flag, ["x", "g"])
+        want = screen(take(data, keep), flag, ["x", "g"])
         # a mask and its indices alike, the same results field for field
         assert repr(screen(data, flag, ["x", "g"], keep)) == repr(want)
         assert repr(screen(data, flag, ["x", "g"], np.flatnonzero(keep))) == repr(want)
@@ -471,6 +471,58 @@ class TestPredictorDtypes:
             fit_logistic(np.array([1, 0, 0, 1]), x)
 
 
+class TestCertifiedFromCounts:
+    """An unweighted fit on 0/1 integer x whose start certifies builds no
+    float64 design; float64 x takes the design path, so the two are
+    checked against each other."""
+
+    W = np.array([2.0, -1.0, 1.5, 0.5])
+
+    def separated(self, rng, n=400):
+        # no subset sum of W is 0.75, so the start splits every row strictly
+        x = (rng.random((n, len(self.W))) < 0.4).astype(np.uint8)
+        return (x @ self.W > 0.75).astype(int), x
+
+    @pytest.mark.parametrize("extra", ["all_zero", "duplicated"])
+    def test_aliased_column_as_on_the_design_path(self, rng, extra):
+        y, x = self.separated(rng)
+        column = np.zeros(len(y), dtype=np.uint8) if extra == "all_zero" else x[:, 0]
+        x = np.column_stack([x, column])
+        start = np.r_[-0.75, self.W, 0.0 if extra == "duplicated" else 5.0]
+        fit = fit_logistic(y, x, start=start)
+        assert fit.aliased == ["x5"] and fit.iterations == 1
+        np.testing.assert_array_equal(fit.coefficients, start[:5])
+        assert_identical_fit(fit, fit_logistic(y, x.astype(np.float64), start=start))
+
+    def test_start_that_does_not_certify_changes_nothing(self, rng):
+        y, x = self.separated(rng)
+        x = np.column_stack([x, x[:, 0]])
+        plain = fit_logistic(y, x)
+        assert plain.aliased == ["x5"] and plain.iterations > 1
+        # x1's slope moved onto its duplicate, which is dropped; a reversed
+        # start; a zero start
+        for start in (np.r_[-0.75, 0.0, self.W[1:], self.W[0]], -np.r_[-0.75, self.W, 0.0], np.zeros(6)):
+            assert_identical_fit(fit_logistic(y, x, start=start), plain)
+
+    def test_certified_fit_traces_a_few_bytes_per_row(self, rng):
+        # the design path holds an n x 31 float64 design, 248 B per row; this
+        # path holds a few float64 and bool vectors of n and two chunks
+        n, k = 200000, 30
+        x = (rng.random((n, k)) < rng.uniform(0.05, 0.6, size=k)).astype(np.uint8)
+        w = rng.normal(size=k)
+        s = x @ w
+        y = (s > np.median(s)).astype(int)
+        start = np.r_[-(s[y == 0].max() + s[y == 1].min()) / 2.0, w]
+        tracemalloc.start()
+        try:
+            fit = fit_logistic(y, x, start=start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.iterations == 1 and fit.separated
+        assert peak < 32 * n + 2**21
+
+
 class TestFitLogistic:
     def test_grouped_slope_is_log_odds_ratio(self):
         # single binary predictor: slope = ln(ad/bc), intercept = ln(c/d)
@@ -680,7 +732,7 @@ class TestStratifiedRerun:
         data = dataset_from_arrays({"x": list(x), "g": g})
         keep = rng.random(n) < 0.8
         flag = (rng.random(keep.sum()) < 0.2 + 0.5 * design[keep, 0]).astype(int)
-        want = stratified_rerun(data.take(keep), flag, "g", ["x"], design[keep], ["m1", "m2"])
+        want = stratified_rerun(take(data, keep), flag, "g", ["x"], design[keep], ["m1", "m2"])
         got = stratified_rerun(data, flag, "g", ["x"], design[keep], ["m1", "m2"], rows=keep)
         assert [(r.stratum, r.testable, r.n, repr(r.screens)) for r in got] == [
             (r.stratum, r.testable, r.n, repr(r.screens)) for r in want

@@ -103,9 +103,40 @@ class TestPatternsWriters:
         reports.write_patterns_json(b, pattern_table)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("dropped", [False, True])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [PatternRow("0101", 3, 1e-05, 1)],
+            [PatternRow("0011", 5, 0.5, 1), PatternRow("1111", 4, 1.0, 2), PatternRow("0001", 1, 1 / 3, 3)],
+        ],
+        ids=["0_rows", "1_row", "3_rows"],
+    )
+    def test_json_is_what_json_dump_writes(self, tmp_path, rows, dropped):
+        table = PatternTable(rows, 4, 10, 2, 8 if dropped else 10, dropped)
+        payload = {
+            "schema_version": reports.SCHEMA_VERSION,
+            "k": table.k,
+            "n": table.n,
+            "n_fully_missing": table.n_fully_missing,
+            "percent_base": table.percent_base,
+            "fully_missing_dropped": table.fully_missing_dropped,
+            "max_possible": table.max_possible,
+            "rows": [
+                {"rank": r.rank, "pattern": r.pattern, "n_missing_vars": r.n_missing_vars,
+                 "count": r.count, "percent": r.percent}
+                for r in rows
+            ],
+        }
+        path = tmp_path / "patterns.json"
+        reports.write_patterns_json(path, table)
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_json_streams_to_the_file(self, tmp_path):
         # 12000 patterns over 20 indicators; the document as one string (and
-        # the list of pieces it is joined from) would take over 10 MB
+        # the list of pieces it is joined from) would take over 10 MB, and a
+        # dict per row for json.dump over 2 MB
         k, n_patterns = 20, 12000
         n = n_patterns * (n_patterns + 1) // 2
         rows = [
@@ -120,7 +151,9 @@ class TestPatternsWriters:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20
+        # the dict of every row alone would hold them all; each row is
+        # written as it is formatted
+        assert peak < 2**18
         payload = json.loads(path.read_text())
         assert len(payload["rows"]) == n_patterns
         assert payload["rows"][-1]["pattern"] == rows[-1].pattern
@@ -315,6 +348,52 @@ class TestScoresCsv:
         assert rows[2][1] == ""  # NaN score renders blank
         assert rows[2][-1] == "True"
         assert len(rows) == 4
+
+    @staticmethod
+    def random_scores(n, q=2, seed=5):
+        rng = np.random.default_rng(seed)
+        s = rng.normal(size=(n, q))
+        s[rng.random((n, q)) < 0.05] = np.nan
+        s[:2] = [[-0.0, 6e-7], [-4e-7, 123456.5]]
+        return ComponentScores(
+            scores=s,
+            dichotomized=(s > 0.0).view(np.uint8),
+            orientation=np.ones(q),
+            fully_missing=rng.random(n) < 0.1,
+            slopes=np.ones((4, q)),
+            intercepts=np.zeros(q),
+        )
+
+    def test_matches_a_row_by_row_writer(self, tmp_path):
+        # several row blocks and a ragged last one
+        scores = self.random_scores(5000)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["row", "score_1", "dichotomized_1", "score_2", "dichotomized_2", "fully_missing"])
+            for i in range(5000):
+                row = [i + 1]
+                for j in range(2):
+                    row += [reports._fmt(scores.scores[i, j]), int(scores.dichotomized[i, j])]
+                w.writerow(row + [bool(scores.fully_missing[i])])
+        path = tmp_path / "scores.csv"
+        reports.write_scores_csv(path, scores)
+        assert path.read_bytes() == want.read_bytes()
+        assert read_csv(path)[1][1:4] == ["-0.000000", "0", "0.000001"]
+
+    def test_traced_peak_does_not_grow_with_n(self, tmp_path):
+        def peak(n):
+            scores = self.random_scores(n)
+            tracemalloc.start()
+            try:
+                reports.write_scores_csv(tmp_path / "scores.csv", scores)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # whole-column lists would add about 100 B per row
+        small, large = peak(10000), peak(80000)
+        assert large < small + 2**16
 
 
 @pytest.fixture(scope="module")
