@@ -7,12 +7,13 @@ from indicators or covariates with logistic regression.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .indicators import NUMERIC, SCRATCH_ENTRIES, Dataset, cooccurrence
+from .indicators import NUMERIC, SCRATCH_ENTRIES, Dataset
 
 WELCH_T = "welch_t"
 CHI_SQUARE = "chi_square"
@@ -185,24 +186,43 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None =
     return float(u / (n1 * n0))
 
 
+def _chunks(x: np.ndarray, cols) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row slices of ``x`` with the columns ``cols`` of those rows cast to
+    float64, at most ``SCRATCH_ENTRIES`` cells of the design [1, x] at a
+    time. Each chunk is cast into one buffer, which the next overwrites."""
+    n = x.shape[0]
+    step = max(1, SCRATCH_ENTRIES // (x.shape[1] + 1))
+    buffer = np.empty((min(step, n), x[:0, cols].shape[1]))
+    for start in range(0, n, step):
+        chunk = buffer[: min(step, n - start)]
+        chunk[...] = x[start : start + step, cols]
+        yield slice(start, start + step), chunk
+
+
 def _independent_columns(x: np.ndarray, weights: np.ndarray | None = None) -> list[int]:
-    """Left to right, the columns of ``x`` that add rank over those kept before.
+    """Left to right, the columns of the design [1, x] that add rank over
+    those kept before.
 
-    One pass over xᵀWx (W the frequency weights, or the identity) scaled to
-    unit diagonal: eliminating each kept column leaves on the diagonal each
-    later column's squared sine to the kept span, and at most RANK_TOL (an
-    all-zero column too) means aliased.
+    One pass over DᵀWD (D the design, W the frequency weights or the
+    identity), summed over float64 row chunks, so that for 0/1 ``x`` every
+    entry is an exact count, and scaled to unit diagonal: eliminating each
+    kept column leaves on the diagonal each later column's squared sine to
+    the kept span, and at most RANK_TOL (an all-zero column too) means
+    aliased.
     """
-    return _rank_pass(x.T @ x if weights is None else x.T @ (x * weights[:, None]))
-
-
-def _rank_pass(gram: np.ndarray) -> list[int]:
-    """``_independent_columns`` of the design whose Gram matrix is ``gram``."""
+    k = x.shape[1]
+    gram = np.zeros((k + 1, k + 1))
+    for rows, c in _chunks(x, slice(None)):
+        w = np.ones(len(c)) if weights is None else weights[rows]
+        gram[0, 0] += w.sum()
+        gram[0, 1:] += w @ c
+        gram[1:, 1:] += c.T @ c if weights is None else c.T @ (c * w[:, None])
+    gram[1:, 0] = gram[0, 1:]
     d = np.sqrt(np.diag(gram))
     d[d == 0.0] = 1.0
     a = gram / np.outer(d, d)
     kept = []
-    for j in range(a.shape[0]):
+    for j in range(k + 1):
         if a[j, j] > RANK_TOL:
             kept.append(j)
             a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j, j + 1 :]) / a[j, j]
@@ -215,34 +235,33 @@ def _certifies(mu: np.ndarray, actual: np.ndarray) -> bool:
     return bool(np.where(actual, mu > 0.5, mu < 0.5).all())
 
 
-def _zero_one(x: np.ndarray) -> bool:
-    """Whether ``x`` is bool or integer and holds only 0 and 1."""
-    return x.dtype.kind in "biu" and (x.size == 0 or (x.min() >= 0 and x.max() <= 1))
-
-
-def _count_gram(x: np.ndarray) -> np.ndarray:
-    """Gram matrix of the design [1, x] of 0/1 ``x`` from exact counts: the
-    row count n, the column sums m and the co-occurrences C."""
-    k = x.shape[1]
-    gram = np.empty((k + 1, k + 1))
-    gram[0, 0] = x.shape[0]
-    gram[1:, 1:] = cooccurrence(x)
-    gram[0, 1:] = gram[1:, 0] = np.diag(gram[1:, 1:])
-    return gram
-
-
-def _certifies_in_chunks(x: np.ndarray, kept: list[int], beta: np.ndarray, actual: np.ndarray) -> bool:
-    """``_certifies`` at ``beta`` on the ``kept`` columns of the design
-    [1, x], cast to float64 one chunk of at most ``SCRATCH_ENTRIES``
-    design cells at a time (the intercept is never aliased)."""
-    cols = [j - 1 for j in kept[1:]]
-    step = max(1, SCRATCH_ENTRIES // len(kept))
-    for start in range(0, len(actual), step):
-        chunk = x[start : start + step, cols]
-        design = np.column_stack([np.ones(len(chunk)), chunk])
-        if not _certifies(special.expit(design @ beta), actual[start : start + step]):
-            return False
-    return True
+def _certified_fit(
+    names: list[str], beta: np.ndarray, ll0: float, iterations: int, aliased: list[str], n
+) -> LogisticFit:
+    """The fit stopped at an iterate ``beta`` that certifies complete
+    separation: log-likelihood 0 (the supremum), every row classified, and
+    no standard errors."""
+    lr, df = -2.0 * ll0, len(beta) - 1
+    return LogisticFit(
+        parameter_names=names,
+        coefficients=beta,
+        standard_errors=None,
+        log_likelihood=0.0,
+        null_log_likelihood=ll0,
+        lr_chi2=lr,
+        lr_df=df,
+        lr_p_value=_chi2_sf(lr, df) if df > 0 else np.nan,
+        pseudo_r2=1.0,
+        auc=1.0,
+        sensitivity=1.0,
+        specificity=1.0,
+        correct_pct=1.0,
+        separated=True,
+        converged=False,
+        iterations=iterations,
+        aliased=aliased,
+        n=int(n),
+    )
 
 
 def fit_logistic(
@@ -262,15 +281,14 @@ def fit_logistic(
     the fit's one float64 design, intercept first, is cast from it as it is
     built, so 0/1 indicators need no float copy of their own.
 
-    ``start`` holds candidate coefficients, intercept first. Its entries for
-    the design columns not aliased become the first iterate only when
-    they already certify complete separation (below); the fit then stops
-    at iteration 1 with them as its coefficients. Otherwise IRLS starts
-    from zero, and the fit is bit for bit the one without ``start``. An
-    unweighted fit on bool or integer 0/1 ``x`` whose start certifies
-    builds no design at all: the aliasing check reads the Gram matrix from
-    exact counts, which equal the design's entries, and the certificate
-    casts ``SCRATCH_ENTRIES`` design cells at a time.
+    ``start`` holds candidate coefficients, intercept first. When its
+    entries for the design columns not aliased certify complete separation
+    (below), they are the fit, which stops at iteration 1; otherwise the
+    fit is bit for bit the one without ``start``, and IRLS starts from
+    zero. The aliasing check and the certificate read the design [1, x]
+    one float64 chunk of at most ``SCRATCH_ENTRIES`` cells at a time, so a
+    certified fit builds no design; every other fit builds its one float64
+    design from the columns kept.
 
     An iterate that fits every y = 1 row above one half and every y = 0 row
     below it certifies complete separation (its linear predictor splits the
@@ -284,7 +302,7 @@ def fit_logistic(
     suppresses its standard errors, while classification metrics stay
     available.
     """
-    y = np.asarray(y).astype(np.float64)
+    y = np.asarray(y)
     x = np.atleast_2d(np.asarray(x))
     if x.dtype.kind not in "biuf":
         raise ValueError(f"predictors must be real numbers, got dtype {x.dtype}")
@@ -294,10 +312,10 @@ def fit_logistic(
         weights = _counts(weights, len(y))
         present = weights > 0
         y, x, weights = y[present], x[present], weights[present]
-    if x.dtype.kind == "f" and not np.isfinite(x).all():
+    # min and max carry any NaN or infinity, and make no copy of x
+    if x.dtype.kind == "f" and not np.isfinite([x.min(initial=0.0), x.max(initial=0.0)]).all():
         raise ValueError("predictors must be finite")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("y must be binary")
+    y = _binary(y, "y")
     if y.min() == y.max():
         raise ValueError("y must contain both classes")
     if predictor_names is None:
@@ -309,57 +327,38 @@ def fit_logistic(
         if start.shape != (x.shape[1] + 1,):
             raise ValueError("start must hold an intercept and one coefficient per predictor")
 
+    actual = y == 1
+    # whole counts, exact in any order of summation
+    n = len(y) if weights is None else weights.sum()
+    n1 = np.count_nonzero(actual) if weights is None else weights[actual].sum()
+    pbar = n1 / n
+    ll0 = float(n * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
+    kept = _independent_columns(x, weights)
     names = ["intercept"] + list(predictor_names)
+    aliased = [name for j, name in enumerate(names) if j not in kept]
+    names = [names[j] for j in kept]
+    # the intercept is never aliased; a slice of every column copies nothing
+    cols = slice(None) if not aliased else [j - 1 for j in kept[1:]]
+
+    if start is not None:
+        beta = start[kept]
+        chunks = _chunks(x, cols)
+        if all(_certifies(special.expit(c @ beta[1:] + beta[0]), actual[rows]) for rows, c in chunks):
+            return _certified_fit(names, beta, ll0, 1, aliased, n)
+
+    design = np.ones((len(y), len(kept)))
+    for rows, c in _chunks(x, cols):
+        design[rows, 1:] = c
     # per-row counts; unweighted rows count 1, which leaves every product exact
     fw = np.ones(len(y)) if weights is None else weights
-    n = fw.sum()
-    actual = y == 1.0
-    pbar = np.sum(fw * y) / n
-    ll0 = float(n * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
-
-    if start is not None and weights is None and _zero_one(x):
-        # the same kept columns and certificate as the design path, with no
-        # n x (k+1) float64 design: the Gram entries are exact counts either way
-        kept = _rank_pass(_count_gram(x))
-        if _certifies_in_chunks(x, kept, start[kept], actual):
-            lr, df = -2.0 * ll0, len(kept) - 1
-            return LogisticFit(
-                parameter_names=[names[j] for j in kept],
-                coefficients=start[kept],
-                standard_errors=None,
-                log_likelihood=0.0,
-                null_log_likelihood=ll0,
-                lr_chi2=lr,
-                lr_df=df,
-                lr_p_value=_chi2_sf(lr, df) if df > 0 else np.nan,
-                pseudo_r2=1.0,
-                auc=1.0,
-                sensitivity=1.0,
-                specificity=1.0,
-                correct_pct=1.0,
-                separated=True,
-                converged=False,
-                iterations=1,
-                aliased=[name for j, name in enumerate(names) if j not in kept],
-                n=int(n),
-            )
-
-    design = np.column_stack([np.ones(len(y)), x])
-    kept = _independent_columns(design, weights)
-    aliased = [name for j, name in enumerate(names) if j not in kept]
-    if aliased:
-        design, names = design[:, kept], [names[j] for j in kept]
-
-    beta = np.zeros(design.shape[1])
-    if start is not None and _certifies(special.expit(design @ start[kept]), actual):
-        beta = start[kept]
-    converged = certified = singular = False
+    y = y.astype(np.float64)
+    beta = np.zeros(len(kept))
+    converged = singular = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = special.expit(design @ beta)
         if _certifies(mu, actual):
-            certified = True
-            break
+            return _certified_fit(names, beta, ll0, iterations, aliased, n)
         g = design.T @ (fw * (y - mu))
         if np.max(np.abs(g)) < IRLS_TOL:
             converged = True
@@ -380,7 +379,7 @@ def fit_logistic(
     # rows a separating direction splits off saturate, while the
     # coefficients still drift), or runaway standardized coefficients
     saturated = bool((np.where(actual, 1.0 - mu, mu) < SEPARATION_PROB_TOL).any())
-    separated = certified or singular or saturated
+    separated = singular or saturated
     if not separated:
         # predictor scale for the runaway-coefficient check, an n×k
         # temporary that only this check reads
@@ -388,9 +387,7 @@ def fit_logistic(
         sds[0] = 1.0
         separated = bool(np.max(np.abs(beta * sds)) > SEPARATION_COEF_BOUND)
     tiny = 1e-300
-    ll = 0.0 if certified else float(
-        np.sum(fw * (y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny))))
-    )
+    ll = float(np.sum(fw * (y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny)))))
     lr = 2.0 * (ll - ll0)
     df = design.shape[1] - 1
     lr_p = _chi2_sf(lr, df) if df > 0 else np.nan
@@ -406,7 +403,6 @@ def fit_logistic(
             ses = None
 
     predicted = mu > 0.5
-    n1 = fw[actual].sum()
     n0 = n - n1
     sens = float(fw[predicted & actual].sum() / n1)
     spec = float(fw[~predicted & ~actual].sum() / n0)
@@ -471,9 +467,7 @@ def stratified_rerun(
     ``design`` holds the predictors of the stratum fit, one row per row of
     ``data`` and one column per name in ``design_names``, in any real dtype
     (``analyze`` passes the uint8 indicators); each stratum fits a copy of
-    its own rows of it, which ``fit_logistic`` reads in row chunks when
-    ``start`` certifies and casts into its float64 design otherwise, and
-    no fit runs when ``design_names`` is empty.
+    its own rows of it, and no fit runs when ``design_names`` is empty.
     ``start`` goes to every stratum fit (see ``fit_logistic``): a direction
     that separates the flag on all rows separates it on each stratum's
     rows, so those fits stop at iteration 1 unless an aliased column (never

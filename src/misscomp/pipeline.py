@@ -330,11 +330,11 @@ def analyze(config: RunConfig) -> AnalysisResult:
 
     A configuration that fails ``RunConfig.validate`` raises ValueError
     before the input is read. Past that, failures raise PipelineError with
-    the failing step's label; covariate and strata names, the covariates'
-    numeric kind and the strata column's 2 levels among the rows not
-    missing on every indicator are checked against the data right after
-    step 1. A retention outcome of zero components is not an error, the
-    remaining steps are skipped with that reason.
+    the failing step's label; covariate and strata names, that no covariate
+    is named twice, the covariates' numeric kind and the strata column's 2
+    levels among the rows not missing on every indicator are checked against
+    the data right after step 1. A retention outcome of zero components is
+    not an error, the remaining steps are skipped with that reason.
     """
     config.validate()
     steps: list[dict] = []
@@ -358,9 +358,11 @@ def analyze(config: RunConfig) -> AnalysisResult:
         raise PipelineError("step1-indicators", str(exc)) from exc
     done("step1-indicators", f"{ind.k} indicator columns, {patterns.n_observed_patterns} patterns")
     covariates = list(config.covariate_columns or [])
-    for name in covariates:
+    for i, name in enumerate(covariates):
         if name not in data.column_names:
             raise PipelineError("step7-logistic", f"covariate column {name!r} not in dataset")
+        if name in covariates[:i]:
+            raise PipelineError("step7-logistic", f"covariate column {name!r} is given more than once")
     if covariates:
         try:
             cov = np.column_stack([mechanism.numeric_values(data, c) for c in covariates])

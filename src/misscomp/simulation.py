@@ -195,12 +195,14 @@ def run_grid(conditions: list[SimCondition], reps: int, seed: int, workers: int 
 
     Per-replication seeding makes each cell's numbers independent of the
     worker count, and results are reduced in condition order, so reports
-    are identical for any workers value.
+    are identical for any workers value. At most one worker process starts
+    per condition, since a pool may start all of its workers up front.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
     args = [(cond, reps, seed) for cond in conditions]
-    if workers == 1 or len(conditions) == 1:
+    workers = min(workers, len(conditions))
+    if workers <= 1:
         cells = [_run_cell(a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -324,6 +324,37 @@ def assert_identical_fit(a, b):
             assert u == v, f.name
 
 
+def assert_certified_at(fit, y, x, start, weights=None):
+    """Oracle: the fields of a fit certified at ``start``, worked out from
+    the float64 design [1, x] of the rows that count: the kept columns by
+    greedy ``matrix_rank``, ``start`` on them as the coefficients (checked
+    to split the classes), the null log-likelihood in closed form and the
+    LR p-value from ``scipy.stats.chi2``."""
+    y = np.asarray(y, dtype=np.float64)
+    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=np.float64)
+    counted = w > 0
+    design = np.column_stack([np.ones(len(y)), np.asarray(x, dtype=np.float64)])[counted]
+    y, w = y[counted], w[counted]
+    kept = greedy_rank_columns(design)
+    np.testing.assert_array_equal(design[:, kept] @ start[kept] > 0, y == 1)
+    n, n1 = w.sum(), w[y == 1].sum()
+    ll0 = n1 * np.log(n1 / n) + (n - n1) * np.log((n - n1) / n)
+    names = ["intercept"] + [f"x{j}" for j in range(1, design.shape[1])]
+    assert fit.parameter_names == [names[j] for j in kept]
+    assert fit.aliased == [name for j, name in enumerate(names) if j not in kept]
+    np.testing.assert_array_equal(fit.coefficients, start[kept])
+    assert fit.standard_errors is None
+    assert fit.log_likelihood == 0.0 and fit.pseudo_r2 == 1.0
+    assert fit.null_log_likelihood == pytest.approx(ll0, rel=1e-12)
+    assert fit.lr_chi2 == pytest.approx(-2.0 * ll0, rel=1e-12)
+    assert fit.lr_df == len(kept) - 1
+    p_value = scipy.stats.chi2.sf(-2.0 * ll0, len(kept) - 1)
+    assert fit.lr_p_value == pytest.approx(p_value, rel=1e-9, abs=1e-300)
+    assert (fit.auc, fit.sensitivity, fit.specificity, fit.correct_pct) == (1.0, 1.0, 1.0, 1.0)
+    assert fit.separated and not fit.converged
+    assert (fit.iterations, fit.n) == (1, n)
+
+
 class TestStart:
     W = np.array([1.0, -2.0, 0.5])
 
@@ -422,15 +453,13 @@ class TestPredictorDtypes:
         assert plain.converged and plain.n == counts.sum()
         assert_identical_fit(fit_logistic(y, x.astype(dtype), weights=counts), plain)
 
-    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.float64])
     def test_certifying_start_equals_the_float64_fit(self, rng, dtype):
         # no subset sum of W is 0.75, so the start splits every row strictly
         x = rng.random((400, len(self.W))) < 0.4
         y = (x @ self.W > 0.75).astype(int)
         start = np.r_[-0.75, self.W]
-        plain = fit_logistic(y, x.astype(np.float64), start=start)
-        assert plain.iterations == 1 and plain.separated
-        assert_identical_fit(fit_logistic(y, x.astype(dtype), start=start), plain)
+        assert_certified_at(fit_logistic(y, x.astype(dtype), start=start), y, x, start)
 
     def test_stratum_fits_equal_the_float64_fits(self, rng):
         y, x = self.indicators(rng)
@@ -472,9 +501,9 @@ class TestPredictorDtypes:
 
 
 class TestCertifiedFromCounts:
-    """An unweighted fit on 0/1 integer x whose start certifies builds no
-    float64 design; float64 x takes the design path, so the two are
-    checked against each other."""
+    """A fit whose start certifies reads x in float64 row chunks and builds
+    no design, whatever the dtype of x and with or without weights; each
+    fit is checked against the oracle worked out from the design."""
 
     W = np.array([2.0, -1.0, 1.5, 0.5])
 
@@ -489,10 +518,20 @@ class TestCertifiedFromCounts:
         column = np.zeros(len(y), dtype=np.uint8) if extra == "all_zero" else x[:, 0]
         x = np.column_stack([x, column])
         start = np.r_[-0.75, self.W, 0.0 if extra == "duplicated" else 5.0]
-        fit = fit_logistic(y, x, start=start)
-        assert fit.aliased == ["x5"] and fit.iterations == 1
-        np.testing.assert_array_equal(fit.coefficients, start[:5])
-        assert_identical_fit(fit, fit_logistic(y, x.astype(np.float64), start=start))
+        for dtype in (np.uint8, bool, np.float64):
+            fit = fit_logistic(y, x.astype(dtype), start=start)
+            assert fit.aliased == ["x5"]
+            assert_certified_at(fit, y, x, start)
+
+    def test_weighted_fit_certifies_on_the_rows_that_count(self, rng):
+        y, x = self.separated(rng)
+        counts = rng.integers(0, 5, size=len(y))
+        # a row that refutes the start counts zero
+        y, x, counts = np.r_[y, 1 - y[:1]], np.vstack([x, x[:1]]), np.r_[counts, 0]
+        start = np.r_[-0.75, self.W]
+        for dtype in (np.uint8, bool, np.float64):
+            fit = fit_logistic(y, x.astype(dtype), weights=counts, start=start)
+            assert_certified_at(fit, y, x, start, counts)
 
     def test_start_that_does_not_certify_changes_nothing(self, rng):
         y, x = self.separated(rng)
@@ -504,11 +543,10 @@ class TestCertifiedFromCounts:
         for start in (np.r_[-0.75, 0.0, self.W[1:], self.W[0]], -np.r_[-0.75, self.W, 0.0], np.zeros(6)):
             assert_identical_fit(fit_logistic(y, x, start=start), plain)
 
-    def test_certified_fit_traces_a_few_bytes_per_row(self, rng):
-        # the design path holds an n x 31 float64 design, 248 B per row; this
-        # path holds a few float64 and bool vectors of n and two chunks
+    @staticmethod
+    def certified_peak(rng, dtype):
         n, k = 200000, 30
-        x = (rng.random((n, k)) < rng.uniform(0.05, 0.6, size=k)).astype(np.uint8)
+        x = (rng.random((n, k)) < rng.uniform(0.05, 0.6, size=k)).astype(dtype)
         w = rng.normal(size=k)
         s = x @ w
         y = (s > np.median(s)).astype(int)
@@ -520,6 +558,17 @@ class TestCertifiedFromCounts:
         finally:
             tracemalloc.stop()
         assert fit.iterations == 1 and fit.separated
+        return n, peak
+
+    def test_certified_fit_traces_a_few_bytes_per_row(self, rng):
+        # a design would be n x 31 float64, 248 B per row; the fit holds a
+        # few vectors of n and one float64 chunk at a time
+        n, peak = self.certified_peak(rng, np.uint8)
+        assert peak < 32 * n + 2**21
+
+    def test_certified_float_fit_traces_a_few_bytes_per_row(self, rng):
+        # float64 x too: its finiteness check and chunks copy no n x k array
+        n, peak = self.certified_peak(rng, np.float64)
         assert peak < 32 * n + 2**21
 
 
@@ -625,13 +674,14 @@ class TestFitLogistic:
         cols = [ones, a, 3.0 * ones, b, np.zeros(n), a + b, c, b.copy(), rng.normal(size=n)]
         order = np.r_[0, 1 + rng.permutation(len(cols) - 1)]
         x = np.column_stack([cols[j] for j in order])
-        kept = mechanism._independent_columns(x)
+        # the pass adds the intercept column itself
+        kept = mechanism._independent_columns(x[:, 1:])
         assert kept == greedy_rank_columns(x)
         assert len(kept) == 5
 
     def test_rank_pass_keeps_full_rank_indicator_design(self, rng):
         x = np.column_stack([np.ones(500), (rng.random((500, 30)) < 0.2).astype(float)])
-        assert mechanism._independent_columns(x) == greedy_rank_columns(x) == list(range(31))
+        assert mechanism._independent_columns(x[:, 1:]) == greedy_rank_columns(x) == list(range(31))
 
     def test_classification_at_half(self, rng):
         n = 500

@@ -758,6 +758,17 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error [step7-logistic]: column 'site' is categorical")
 
+    def test_repeated_covariate_is_step7_error(self, synthetic_csv, tmp_path, capsys, monkeypatch):
+        stop_at_step2(monkeypatch)
+        rc = cli.main(
+            ["analyze", "--input", str(synthetic_csv), "--out", str(tmp_path), "--seed", "123",
+             "--covariates", "age,age"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error [step7-logistic]: covariate column 'age' is given more than once"
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_analyze_single_level_strata(self, synthetic_csv, tmp_path, capsys):
         path = with_columns(synthetic_csv, tmp_path / "wave.csv", wave=["w1"] * 400)
         rc = cli.main(

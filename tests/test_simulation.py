@@ -213,6 +213,31 @@ class TestRunGrid:
             assert a.correct == b.correct
         assert serial.aggregate() == parallel.aggregate()
 
+    def test_at_most_one_worker_per_condition(self, monkeypatch):
+        # a pool may start every worker up front; the stub starts none
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        conds = [SimCondition(1, 3, 100, 0.25), SimCondition(1, 3, 250, 0.25)]
+        pooled = run_grid(conds, reps=2, seed=3, workers=64)
+        assert started == [2]
+        assert pooled.aggregate() == run_grid(conds, reps=2, seed=3, workers=1).aggregate()
+        run_grid(conds[:1], reps=2, seed=3, workers=64)
+        assert started == [2]
+
     def test_single_condition_aggregate_is_cell_proportion(self):
         report = run_grid([SimCondition(1, 5, 500, 0.25)], reps=6, seed=1)
         agg = report.aggregate()
