@@ -79,9 +79,9 @@ def _chi2_sf(x: float, df: float) -> float:
     return float(special.chdtrc(df, max(x, 0.0)))
 
 
-def _chi_square(codes: np.ndarray, levels: list[str], flag: np.ndarray) -> tuple[float, float, float]:
-    """Pearson chi-square of the table of the levels present in ``codes`` by flag."""
-    table = np.bincount(2 * codes.astype(np.intp) + flag, minlength=2 * len(levels)).reshape(-1, 2)
+def _chi_square(table: np.ndarray) -> tuple[float, float, float]:
+    """Pearson chi-square of a level-by-flag count table, over the levels
+    and flag classes that have any count."""
     table = table[table.sum(axis=1) > 0].astype(np.float64)
     table = table[:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
@@ -108,12 +108,17 @@ def _counts(weights, n: int) -> np.ndarray:
     return w
 
 
-def _rows(rows: np.ndarray | None) -> np.ndarray | slice:
-    """A row mask or row indices as an index; None selects every row."""
+def _rows(rows: np.ndarray | None, n: int) -> np.ndarray:
+    """A row mask of length ``n`` or row indices as indices; None selects
+    every one of the ``n`` rows."""
     if rows is None:
-        return slice(None)
+        return np.arange(n)
     rows = np.asarray(rows)
-    return np.flatnonzero(rows) if rows.dtype == bool else rows
+    if rows.dtype != bool:
+        return rows
+    if len(rows) != n:
+        raise ValueError(f"row mask has {len(rows)} entries for {n} dataset rows")
+    return np.flatnonzero(rows)
 
 
 def screen(
@@ -126,38 +131,44 @@ def screen(
     Missing cells drop out pairwise; a group with fewer than two observed
     values makes the variable not testable (flagged, never raised).
 
-    ``rows`` (a boolean mask or indices; None for all) picks the rows of
-    ``data`` that ``component_flag`` describes. The screens equal those on
-    a dataset of only those rows, but read one column's rows at a time
-    rather than copying every column.
+    ``rows`` (a boolean mask over the rows of ``data`` or indices; None for
+    all) picks the rows of ``data`` that ``component_flag`` describes. The
+    screens equal those on a dataset of only those rows. Each group's
+    data-row indices are found once, in the order of ``rows``, and every
+    variable reads its cells through them: a numeric column's values in
+    that order, a categorical column's table by counting its codes.
     """
-    rows = _rows(rows)
-    n = data.n if isinstance(rows, slice) else len(rows)
+    index = _rows(rows, data.n)
     flag = np.asarray(component_flag)
-    if flag.ndim != 1 or len(flag) != n:
+    if flag.ndim != 1 or len(flag) != len(index):
         raise ValueError("component_flag must align with dataset rows")
     flag = _binary(flag, "component_flag")
+    groups = [index.take(np.flatnonzero(flag == g)) for g in (0, 1)]
     results = []
     for name in variables:
         kind = data.kind(name)
-        observed = ~data.missing_mask(name)[rows]
-        excluded = int(n - observed.sum())
-        g0, g1 = flag[observed] == 0, flag[observed] == 1
-        n0, n1 = int(g0.sum()), int(g1.sum())
+        if kind == NUMERIC:
+            col = data.column(name)
+            v0, v1 = (v.take(np.flatnonzero(~np.isnan(v))) for v in (col.take(g) for g in groups))
+            n0, n1 = len(v0), len(v1)
+        else:
+            codes, levels = data.codes(name)
+            # levels by flag; cast before the shift, as int8 code 127 + 1 overflows
+            counts = [np.bincount(codes.take(g).astype(np.intp) + 1, minlength=len(levels) + 1)[1:] for g in groups]
+            table = np.column_stack(counts)
+            n0, n1 = table.sum(axis=0).tolist()
         stat = df = p = np.nan
         reason = ""
         if n0 < 2 or n1 < 2:
             reason = f"fewer than 2 observed values in a group (n0={n0}, n1={n1})"
         elif kind == NUMERIC:
-            vals = data.column(name)[rows][observed]
-            stat, df, p = _welch(vals[g1], vals[g0])
+            stat, df, p = _welch(v1, v0)
         else:
-            codes, levels = data.codes(name)
-            stat, df, p = _chi_square(codes[rows][observed], levels, flag[observed])
+            stat, df, p = _chi_square(table)
             if np.isnan(stat):
                 reason = "contingency table has a single populated row or column"
         test = WELCH_T if kind == NUMERIC else CHI_SQUARE
-        results.append(ScreenResult(name, test, stat, df, p, not reason, reason, n0, n1, excluded))
+        results.append(ScreenResult(name, test, stat, df, p, not reason, reason, n0, n1, len(index) - n0 - n1))
     return results
 
 
@@ -435,7 +446,7 @@ def strata_levels(
     """Codes of ``strata`` over ``rows`` (as in ``screen``), its level names,
     and the codes of the levels present there, which must be at least 2."""
     codes, names = data.codes(strata)
-    codes = codes[_rows(rows)]
+    codes = codes[_rows(rows, data.n)]
     seen = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
     if len(seen) < 2:
         raise ValueError("strata column must have at least 2 levels")
@@ -479,7 +490,7 @@ def stratified_rerun(
     column gives levels such as "10.0" and "2.0", in that order.
     """
     flag = _binary(component_flag, "component_flag")
-    index = np.arange(data.n)[_rows(rows)]
+    index = _rows(rows, data.n)
     if flag.shape != index.shape:
         raise ValueError("component_flag must align with dataset rows")
     codes, names, seen = strata_levels(data, strata, index)
@@ -489,7 +500,7 @@ def stratified_rerun(
         members = np.flatnonzero(codes == code)
         sub_flag = flag[members]
         n = len(members)
-        if len(np.unique(sub_flag)) < 2:
+        if sub_flag.min() == sub_flag.max():
             out.append(StratumResult(level, False, "component flag has a single class", n, [], None))
             continue
         stratum_screens = screen(data, sub_flag, variables, index[members])

@@ -425,10 +425,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
     n_fully = int(comp_scores.fully_missing.sum())
     if n_fully:
         notes.append(f"{n_fully} fully missing row(s) excluded from screens and fits")
-    # the screens read the usable rows a column at a time, so no column is
+    # the screens read each group's usable rows by index, so no column is
     # copied whether or not rows are excluded
     screen_data = _screening_dataset(data, ind)
-    screened = usable if n_fully else None
     # the stratifying column itself is not screened
     screen_vars = [name for name in screen_data.column_names if name != config.strata_column]
 
@@ -452,7 +451,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
         s = comp_scores.scores[usable, j]
         gap = (s[flag == 0].max() + s[flag == 1].min()) / 2.0
         testable.append((label, flag, np.r_[comp_scores.intercepts[j] - gap, comp_scores.slopes[:, j]]))
-        for res in mechanism.screen(screen_data, flag, screen_vars, screened):
+        for res in mechanism.screen(screen_data, flag, screen_vars, usable):
             screen_rows.append((label, "", res))
     done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")
 
@@ -487,7 +486,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
             notes.append(f"{n_unplaced} usable row(s) missing {config.strata_column!r} left out of strata")
         for label, flag, start in testable:
             reruns = mechanism.stratified_rerun(
-                screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names, start, screened
+                screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names, start, usable
             )
             for res in reruns:
                 strata_results.append(res)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from misscomp.indicators import Dataset, encode
+from misscomp import mechanism
+from misscomp.indicators import NUMERIC, Dataset, encode
 
 
 def dataset_from_arrays(named_columns):
@@ -31,6 +32,43 @@ def take(data, rows):
         columns=[c[rows] for c in data.columns],
         levels=list(data.levels),
     )
+
+
+def reference_screen(data, component_flag, variables, rows=None):
+    """The screens by boolean masks: each variable copies its observed
+    cells of ``rows`` (a boolean mask or indices; None for all), then each
+    group's values or the level-by-flag table by ``bincount`` of 2·code +
+    flag. The reference for ``mechanism.screen``."""
+    if rows is None:
+        rows = slice(None)
+    else:
+        rows = np.asarray(rows)
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+    n = data.n if isinstance(rows, slice) else len(rows)
+    flag = np.asarray(component_flag).astype(int)
+    results = []
+    for name in variables:
+        kind = data.kind(name)
+        observed = ~data.missing_mask(name)[rows]
+        excluded = int(n - observed.sum())
+        g0, g1 = flag[observed] == 0, flag[observed] == 1
+        n0, n1 = int(g0.sum()), int(g1.sum())
+        stat = df = p = np.nan
+        reason = ""
+        if n0 < 2 or n1 < 2:
+            reason = f"fewer than 2 observed values in a group (n0={n0}, n1={n1})"
+        elif kind == NUMERIC:
+            vals = data.column(name)[rows][observed]
+            stat, df, p = mechanism._welch(vals[g1], vals[g0])
+        else:
+            codes, levels = data.codes(name)
+            pairs = 2 * codes[rows][observed].astype(np.intp) + flag[observed]
+            stat, df, p = mechanism._chi_square(np.bincount(pairs, minlength=2 * len(levels)).reshape(-1, 2))
+            if np.isnan(stat):
+                reason = "contingency table has a single populated row or column"
+        test = mechanism.WELCH_T if kind == NUMERIC else mechanism.CHI_SQUARE
+        results.append(mechanism.ScreenResult(name, test, stat, df, p, not reason, reason, n0, n1, excluded))
+    return results
 
 
 @pytest.fixture

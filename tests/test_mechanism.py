@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misscomp import mechanism
+from misscomp.indicators import Dataset
 from misscomp.mechanism import (
     CHI_SQUARE,
     WELCH_T,
@@ -16,10 +17,11 @@ from misscomp.mechanism import (
     numeric_values,
     roc_auc,
     screen,
+    strata_levels,
     stratified_rerun,
 )
 
-from conftest import dataset_from_arrays, take
+from conftest import dataset_from_arrays, reference_screen, take
 
 
 def pairwise_auc(scores, labels):
@@ -155,6 +157,74 @@ class TestScreen:
         assert repr(screen(data, flag, ["x", "g"], np.flatnonzero(keep))) == repr(want)
         with pytest.raises(ValueError, match="align"):
             screen(data, flag, ["x"], np.flatnonzero(keep)[1:])
+
+    def test_mask_of_the_wrong_length_rejected(self):
+        data = dataset_from_arrays({"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]})
+        mask = np.array([True, True, True, True, False])
+        with pytest.raises(ValueError, match="row mask has 5 entries for 6 dataset rows"):
+            screen(data, np.array([0, 0, 1, 1]), ["x"], mask)
+
+
+def screen_case(rng, n):
+    """A dataset of every kind of screened column: numeric with NaN cells,
+    a constant numeric column, categorical codes with -1 cells and a rare
+    level, int8 codes up to 127 (the largest int8) and 0/1 indicators
+    viewed as int8 codes, strided as the pipeline views them."""
+    x = rng.normal(size=n)
+    x[rng.random(n) < 0.2] = np.nan
+    const = np.full(n, 3.0)
+    const[rng.random(n) < 0.1] = np.nan
+    cat = rng.choice([-1, 0, 1, 2, 3], size=n, p=[0.1, 0.45, 0.3, 0.12, 0.03]).astype(np.int8)
+    wide = rng.integers(-1, 128, size=n).astype(np.int8)
+    wide[:2] = [0, 127]
+    ind = (rng.random((n, 3)) < [0.05, 0.3, 0.6]).astype(np.uint8)
+    names = ["x", "const", "cat", "wide", "m1", "m2", "m3"]
+    columns = [x, const, cat, wide] + [ind[:, j].view(np.int8) for j in range(3)]
+    levels = [None, None, list("abcd"), [f"L{i:03d}" for i in range(128)]] + [["0", "1"]] * 3
+    return Dataset(names, columns, levels)
+
+
+class TestScreenOracle:
+    """``screen`` reads each group through its row indices; the mask-based
+    ``reference_screen`` copies every column's observed cells. The results
+    must agree field for field, to the last bit."""
+
+    def test_equals_the_mask_reference(self, rng):
+        seen = set()
+        for _ in range(40):
+            n = int(rng.integers(8, 120))
+            data = screen_case(rng, n)
+            keep = rng.random(n) < 0.7
+            keep[:2] = True
+            no_m1 = np.flatnonzero(data.columns[4] == 0)  # indicator m1 constant over these
+            selections = {
+                "all": None,
+                "mask": keep,
+                "ascending": np.flatnonzero(keep),
+                "unsorted": rng.permutation(np.flatnonzero(keep)),
+                "repeated": rng.integers(0, n, size=n + 5),
+                "m1 constant": no_m1,
+            }
+            for how, rows in selections.items():
+                m = n if rows is None else int(np.count_nonzero(rows)) if rows.dtype == bool else len(rows)
+                flag = (rng.random(m) < 0.4).astype(int)
+                got = screen(data, flag, data.column_names, rows)
+                assert repr(got) == repr(reference_screen(data, flag, data.column_names, rows)), how
+                by_name = {r.variable: r for r in got}
+                if by_name["const"].testable:
+                    assert (by_name["const"].statistic, by_name["const"].p_value) == (0.0, 1.0)
+                    seen.add("constant numeric")
+                if how == "m1 constant" and by_name["m1"].n_group0 >= 2 and by_name["m1"].n_group1 >= 2:
+                    assert np.isnan(by_name["m1"].statistic)
+                    assert by_name["m1"].reason == "contingency table has a single populated row or column"
+                    seen.add("constant indicator")
+                index = np.arange(n) if rows is None else np.arange(n)[rows]
+                rare = data.columns[2][index] == 3
+                if rare.any() and len(set(flag[rare])) == 1 and by_name["cat"].testable:
+                    seen.add("level in one group")
+                if (data.columns[3][index] == 127).any() and by_name["wide"].testable:
+                    seen.add("code 127")
+        assert seen == {"constant numeric", "constant indicator", "level in one group", "code 127"}
 
 
 class TestRocAuc:
@@ -791,6 +861,17 @@ class TestStratifiedRerun:
             assert_identical_fit(a.fit, b.fit)
         with pytest.raises(ValueError, match="align"):
             stratified_rerun(data, flag, "g", ["x"], design[keep], ["m1", "m2"])
+
+    def test_strata_levels_reject_a_mask_of_the_wrong_length(self):
+        data = dataset_from_arrays({"g": list("aabbab")})
+        with pytest.raises(ValueError, match="row mask has 5 entries for 6 dataset rows"):
+            strata_levels(data, "g", np.array([True, True, True, True, False]))
+
+    def test_mask_of_the_wrong_length_rejected(self):
+        data = dataset_from_arrays({"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "g": list("aabbab")})
+        mask = np.array([True, True, True, True, False])
+        with pytest.raises(ValueError, match="row mask has 5 entries for 6 dataset rows"):
+            stratified_rerun(data, np.array([0, 1, 0, 1]), "g", ["x"], np.empty((4, 0)), [], rows=mask)
 
     def test_fractional_flag_rejected(self):
         data = dataset_from_arrays({"x": [1.0, 2.0, 3.0, 4.0], "g": ["a", "a", "b", "b"]})
