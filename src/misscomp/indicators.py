@@ -7,7 +7,7 @@ missingness indicator per variable (1 = missing, 0 = observed) and up to
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,9 +15,9 @@ import numpy as np
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# cap, in entries, on each scratch array of a co-occurrence count, a score
-# product or a joint fit's certificate (1 MB of float64 copies) and of a
-# block of permutation-null keys (512 kB of uint32)
+# cap, in entries, on each float64 chunk of ``row_chunks`` (1 MB), on a
+# block of permutation-null keys (512 kB of uint32) and on ingest's chunk
+# of cells
 SCRATCH_ENTRIES = 1 << 17
 
 
@@ -165,19 +165,30 @@ class IndicatorMatrix:
         return self.values.all(axis=1) if self.k else np.zeros(self.n, dtype=bool)
 
 
+def row_chunks(x: np.ndarray, cols=slice(None)) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row slices of the 2-d array ``x`` and its columns ``cols`` on those
+    rows, cast to float64 into one reused buffer of at most
+    ``SCRATCH_ENTRIES`` cells (read as the walk starts)."""
+    n = x.shape[0]
+    width = x[:0, cols].shape[1]
+    step = max(1, SCRATCH_ENTRIES // max(width, 1))
+    buffer = np.empty((min(step, n), width))
+    for start in range(0, n, step):
+        chunk = buffer[: min(step, n - start)]
+        chunk[...] = x[start : start + step, cols]
+        yield slice(start, start + step), chunk
+
+
 def cooccurrence(values: np.ndarray) -> np.ndarray:
     """Exact co-occurrence counts ``XᵀX`` of an (n, k) 0/1 matrix, as float64.
 
     Entry (i, j) counts the rows where columns i and j are both 1, so the
     diagonal holds the column sums. Rows go through a float64 BLAS product
-    in chunks of at most ``SCRATCH_ENTRIES`` entries; float64 holds every
-    integer up to 2**53 exactly, so every partial sum is the exact count.
+    one ``row_chunks`` chunk at a time; float64 holds every integer up to
+    2**53 exactly, so every partial sum is the exact count.
     """
-    n, k = values.shape
-    step = max(1, SCRATCH_ENTRIES // max(k, 1))
-    counts = np.zeros((k, k))
-    for start in range(0, n, step):
-        x = values[start : start + step].astype(np.float64)
+    counts = np.zeros((values.shape[1],) * 2)
+    for _, x in row_chunks(values):
         counts += x.T @ x
     return counts
 
@@ -199,7 +210,7 @@ def phi(counts: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-@dataclass
+@dataclass(slots=True)
 class PatternRow:
     pattern: str
     count: int

@@ -7,13 +7,12 @@ from indicators or covariates with logistic regression.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .indicators import NUMERIC, SCRATCH_ENTRIES, Dataset
+from .indicators import NUMERIC, Dataset, row_chunks
 
 WELCH_T = "welch_t"
 CHI_SQUARE = "chi_square"
@@ -100,7 +99,7 @@ def _binary(values, what: str) -> np.ndarray:
     return values.astype(int)
 
 
-def _counts(weights, n: int) -> np.ndarray:
+def _frequency_weights(weights, n: int) -> np.ndarray:
     """Frequency weights as floats, checked to be n non-negative whole counts."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,) or not (np.isfinite(w) & (w >= 0) & (w == np.floor(w))).all():
@@ -186,7 +185,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None =
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be 1-d and aligned")
     y = _binary(y, "labels")
-    w = np.ones(len(y)) if weights is None else _counts(weights, len(y))
+    w = np.ones(len(y)) if weights is None else _frequency_weights(weights, len(y))
     distinct, group = np.unique(s, return_inverse=True)
     pos = np.bincount(group, weights=w * y, minlength=len(distinct))
     neg = np.bincount(group, weights=w * (1 - y), minlength=len(distinct))
@@ -197,33 +196,20 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None =
     return float(u / (n1 * n0))
 
 
-def _chunks(x: np.ndarray, cols) -> Iterator[tuple[slice, np.ndarray]]:
-    """Row slices of ``x`` with the columns ``cols`` of those rows cast to
-    float64, at most ``SCRATCH_ENTRIES`` cells of the design [1, x] at a
-    time. Each chunk is cast into one buffer, which the next overwrites."""
-    n = x.shape[0]
-    step = max(1, SCRATCH_ENTRIES // (x.shape[1] + 1))
-    buffer = np.empty((min(step, n), x[:0, cols].shape[1]))
-    for start in range(0, n, step):
-        chunk = buffer[: min(step, n - start)]
-        chunk[...] = x[start : start + step, cols]
-        yield slice(start, start + step), chunk
-
-
 def _independent_columns(x: np.ndarray, weights: np.ndarray | None = None) -> list[int]:
     """Left to right, the columns of the design [1, x] that add rank over
     those kept before.
 
     One pass over DᵀWD (D the design, W the frequency weights or the
-    identity), summed over float64 row chunks, so that for 0/1 ``x`` every
-    entry is an exact count, and scaled to unit diagonal: eliminating each
-    kept column leaves on the diagonal each later column's squared sine to
-    the kept span, and at most RANK_TOL (an all-zero column too) means
-    aliased.
+    identity), summed over the float64 chunks of ``row_chunks``, so that
+    for 0/1 ``x`` every entry is an exact count, and scaled to unit
+    diagonal: eliminating each kept column leaves on the diagonal each
+    later column's squared sine to the kept span, and at most RANK_TOL (an
+    all-zero column too) means aliased.
     """
     k = x.shape[1]
     gram = np.zeros((k + 1, k + 1))
-    for rows, c in _chunks(x, slice(None)):
+    for rows, c in row_chunks(x):
         w = np.ones(len(c)) if weights is None else weights[rows]
         gram[0, 0] += w.sum()
         gram[0, 1:] += w @ c
@@ -246,29 +232,33 @@ def _certifies(mu: np.ndarray, actual: np.ndarray) -> bool:
     return bool(np.where(actual, mu > 0.5, mu < 0.5).all())
 
 
-def _certified_fit(
-    names: list[str], beta: np.ndarray, ll0: float, iterations: int, aliased: list[str], n
+def _logistic_fit(
+    names: list[str], beta: np.ndarray, ll0: float, n, n1, iterations: int, aliased: list[str],
+    ll=0.0, auc=1.0, sens=1.0, spec=1.0, ses=None, separated=True, converged=False,
 ) -> LogisticFit:
-    """The fit stopped at an iterate ``beta`` that certifies complete
-    separation: log-likelihood 0 (the supremum), every row classified, and
-    no standard errors."""
-    lr, df = -2.0 * ll0, len(beta) - 1
+    """The fit at ``beta``: its LR test, pseudo-R² and share classified
+    correctly follow from the log-likelihoods ``ll`` and ``ll0`` and the
+    counts ``n`` and ``n1`` (of y = 1). The defaults are those of an
+    iterate that certifies complete separation (log-likelihood 0, the
+    supremum; every row classified; no standard errors), for which those
+    fields are exactly −2·ll₀, 1 and 1."""
+    lr, df = 2.0 * (ll - ll0), len(beta) - 1
     return LogisticFit(
         parameter_names=names,
         coefficients=beta,
-        standard_errors=None,
-        log_likelihood=0.0,
+        standard_errors=ses,
+        log_likelihood=ll,
         null_log_likelihood=ll0,
         lr_chi2=lr,
         lr_df=df,
         lr_p_value=_chi2_sf(lr, df) if df > 0 else np.nan,
-        pseudo_r2=1.0,
-        auc=1.0,
-        sensitivity=1.0,
-        specificity=1.0,
-        correct_pct=1.0,
-        separated=True,
-        converged=False,
+        pseudo_r2=1.0 - ll / ll0,
+        auc=auc,
+        sensitivity=sens,
+        specificity=spec,
+        correct_pct=(sens * n1 + spec * (n - n1)) / n,
+        separated=separated,
+        converged=converged,
         iterations=iterations,
         aliased=aliased,
         n=int(n),
@@ -296,8 +286,8 @@ def fit_logistic(
     entries for the design columns not aliased certify complete separation
     (below), they are the fit, which stops at iteration 1; otherwise the
     fit is bit for bit the one without ``start``, and IRLS starts from
-    zero. The aliasing check and the certificate read the design [1, x]
-    one float64 chunk of at most ``SCRATCH_ENTRIES`` cells at a time, so a
+    zero. The aliasing check, the certificate and the design build each
+    walk x in the float64 chunks of ``indicators.row_chunks``, so a
     certified fit builds no design; every other fit builds its one float64
     design from the columns kept.
 
@@ -320,7 +310,7 @@ def fit_logistic(
     if x.shape[0] != len(y):
         raise ValueError("y and x must have the same number of rows")
     if weights is not None:
-        weights = _counts(weights, len(y))
+        weights = _frequency_weights(weights, len(y))
         present = weights > 0
         y, x, weights = y[present], x[present], weights[present]
     # min and max carry any NaN or infinity, and make no copy of x
@@ -353,12 +343,12 @@ def fit_logistic(
 
     if start is not None:
         beta = start[kept]
-        chunks = _chunks(x, cols)
+        chunks = row_chunks(x, cols)
         if all(_certifies(special.expit(c @ beta[1:] + beta[0]), actual[rows]) for rows, c in chunks):
-            return _certified_fit(names, beta, ll0, 1, aliased, n)
+            return _logistic_fit(names, beta, ll0, n, n1, 1, aliased)
 
     design = np.ones((len(y), len(kept)))
-    for rows, c in _chunks(x, cols):
+    for rows, c in row_chunks(x, cols):
         design[rows, 1:] = c
     # per-row counts; unweighted rows count 1, which leaves every product exact
     fw = np.ones(len(y)) if weights is None else weights
@@ -369,7 +359,7 @@ def fit_logistic(
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = special.expit(design @ beta)
         if _certifies(mu, actual):
-            return _certified_fit(names, beta, ll0, iterations, aliased, n)
+            return _logistic_fit(names, beta, ll0, n, n1, iterations, aliased)
         g = design.T @ (fw * (y - mu))
         if np.max(np.abs(g)) < IRLS_TOL:
             converged = True
@@ -399,9 +389,6 @@ def fit_logistic(
         separated = bool(np.max(np.abs(beta * sds)) > SEPARATION_COEF_BOUND)
     tiny = 1e-300
     ll = float(np.sum(fw * (y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny)))))
-    lr = 2.0 * (ll - ll0)
-    df = design.shape[1] - 1
-    lr_p = _chi2_sf(lr, df) if df > 0 else np.nan
 
     if separated:
         ses = None
@@ -414,30 +401,11 @@ def fit_logistic(
             ses = None
 
     predicted = mu > 0.5
-    n0 = n - n1
     sens = float(fw[predicted & actual].sum() / n1)
-    spec = float(fw[~predicted & ~actual].sum() / n0)
-    correct = (sens * n1 + spec * n0) / n
-    return LogisticFit(
-        parameter_names=names,
-        coefficients=beta,
-        standard_errors=ses,
-        log_likelihood=ll,
-        null_log_likelihood=ll0,
-        lr_chi2=lr,
-        lr_df=df,
-        lr_p_value=lr_p,
-        pseudo_r2=1.0 - ll / ll0,
-        auc=roc_auc(mu, y, weights),
-        sensitivity=sens,
-        specificity=spec,
-        correct_pct=correct,
-        separated=separated,
-        converged=converged and not separated,
-        iterations=iterations,
-        aliased=aliased,
-        n=int(n),
-    )
+    spec = float(fw[~predicted & ~actual].sum() / (n - n1))
+    auc = roc_auc(mu, y, weights)
+    converged = converged and not separated
+    return _logistic_fit(names, beta, ll0, n, n1, iterations, aliased, ll, auc, sens, spec, ses, separated, converged)
 
 
 def strata_levels(

@@ -77,6 +77,10 @@ class RunConfig:
     output_formats: tuple[str, ...] = ("csv", "json")
 
     def validate(self) -> None:
+        for name in ("missing_sentinels", "columns", "covariate_columns", "output_formats"):
+            value = getattr(self, name)
+            if isinstance(value, str):  # it would be read one character at a time
+                raise ValueError(f"{name} must be a sequence of strings, not the string {value!r}")
         if self.correlation_kind not in (PEARSON, TETRACHORIC):
             raise ValueError(f"unknown correlation kind {self.correlation_kind!r}")
         if self.extraction_method not in (PCA, PAF):

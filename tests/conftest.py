@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from misscomp import mechanism
+from misscomp import indicators, mechanism
 from misscomp.indicators import NUMERIC, Dataset, encode
 
 
@@ -22,6 +22,22 @@ def dataset_from_arrays(named_columns):
             columns.append(codes)
             levels.append(names)
     return Dataset(column_names=list(named_columns), columns=columns, levels=levels)
+
+
+def small_walk(monkeypatch, module, cap):
+    """Caps ``indicators.SCRATCH_ENTRIES`` at ``cap`` cells and returns the
+    list that the shape of every chunk ``module``'s row walks yield is then
+    appended to."""
+    shapes = []
+
+    def walk(*args):
+        for rows, chunk in indicators.row_chunks(*args):
+            shapes.append(chunk.shape)
+            yield rows, chunk
+
+    monkeypatch.setattr(indicators, "SCRATCH_ENTRIES", cap)
+    monkeypatch.setattr(module, "row_chunks", walk)
+    return shapes
 
 
 def take(data, rows):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misscomp import extraction
 from misscomp.correlation import PEARSON, CorrelationMatrix, pearson
 from misscomp.extraction import (
     PAF,
@@ -18,6 +19,7 @@ from misscomp.extraction import (
     spectrum,
 )
 from misscomp.indicators import SCRATCH_ENTRIES
+from conftest import small_walk
 from test_correlation import indicator_matrix
 
 
@@ -244,6 +246,16 @@ class TestScores:
         # near-zero scores keep the cancellation's absolute error, so the
         # tolerance is relative to the largest score
         np.testing.assert_allclose(sc.scores, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+    def test_a_cap_of_a_few_dozen_cells_keeps_the_scores(self, rng, monkeypatch):
+        ind = indicator_matrix((rng.random((401, 7)) < 0.3).astype(np.uint8))
+        sol = pca(pearson(ind))
+        shapes = small_walk(monkeypatch, extraction, 40)
+        sc = scores(ind, sol, q=2)
+        assert shapes[0] == (5, 7) and len(shapes) == 81
+        whole = ind.values @ sc.slopes + sc.intercepts
+        np.testing.assert_allclose(sc.scores, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
+        np.testing.assert_array_equal(sc.dichotomized, sc.scores > 0.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,7 +21,7 @@ from misscomp.mechanism import (
     stratified_rerun,
 )
 
-from conftest import dataset_from_arrays, reference_screen, take
+from conftest import dataset_from_arrays, reference_screen, small_walk, take
 
 
 def pairwise_auc(scores, labels):
@@ -640,6 +640,39 @@ class TestCertifiedFromCounts:
         # float64 x too: its finiteness check and chunks copy no n x k array
         n, peak = self.certified_peak(rng, np.float64)
         assert peak < 32 * n + 2**21
+
+
+class TestRowWalk:
+    """Every pass of a fit over x walks it through ``indicators.row_chunks``,
+    whose cap is read at call time: the aliasing Gram (exact counts for
+    0/1 x), the certificate and the design build are per row, so 0/1
+    predictors fit bit for bit the same at any cap."""
+
+    W = np.array([2.0, -1.0, 1.5, 0.5])
+
+    @pytest.mark.parametrize("case", ["irls", "certified", "weighted"])
+    def test_a_cap_of_a_few_dozen_cells_changes_no_fit(self, rng, monkeypatch, case):
+        x = (rng.random((403, len(self.W))) < 0.4).astype(np.uint8)
+        # x5 duplicates x1, so the walks read the kept columns only
+        x = np.column_stack([x, x[:, 0]])
+        kwargs = {}
+        if case == "certified":
+            # no subset sum of W is 0.75, so the start splits every row strictly
+            y = (x[:, :4] @ self.W > 0.75).astype(int)
+            kwargs["start"] = np.r_[-0.75, self.W, 0.0]
+        else:
+            y = (rng.random(len(x)) < 0.2 + 0.5 * x[:, 0]).astype(int)
+        if case == "weighted":
+            kwargs["weights"] = rng.integers(0, 30, size=len(y))
+        want = fit_logistic(y, x, **kwargs)
+        assert want.aliased == ["x5"]
+        assert want.iterations == 1 if case == "certified" else want.converged
+        shapes = small_walk(monkeypatch, mechanism, 36)
+        assert_identical_fit(fit_logistic(y, x, **kwargs), want)
+        # the Gram walks all 5 columns, 7 rows a chunk; the certificate or
+        # the design build walks the 4 kept ones, 9 rows a chunk
+        assert {shape[1] for shape in shapes} == {4, 5}
+        assert max(rows * cols for rows, cols in shapes) <= 36
 
 
 class TestFitLogistic:

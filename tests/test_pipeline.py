@@ -388,6 +388,23 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=match):
             RunConfig(input_path="x.csv", **kwargs).validate()
 
+    @pytest.mark.parametrize("name", ["missing_sentinels", "columns", "covariate_columns", "output_formats"])
+    def test_rejects_a_bare_string_for_a_sequence(self, name):
+        # read one character at a time, "NA" would make the sentinels N and A
+        with pytest.raises(ValueError, match=f"{name} must be a sequence of strings"):
+            RunConfig(input_path="x.csv", **{name: "NA"}).validate()
+
+    def test_bare_string_sentinels_fail_before_ingest(self, tmp_path):
+        rows = [["1", "x", "NA"], ["", "y", "2"], ["3", "", "4"], ["5", "N", ""]]
+        path = write_csv(tmp_path / "s.csv", ["a", "b", "c"], rows)
+        assert pipeline.tabulate(RunConfig(input_path=path))[1].column_names == ["a_miss", "b_miss", "c_miss"]
+        # the characters of "NA" as sentinels: "" is no longer missing, so
+        # a turns categorical and only N marks a missing cell
+        chars = pipeline.tabulate(RunConfig(input_path=path, missing_sentinels=tuple("NA")))[1]
+        assert chars.column_names == ["b_miss"]
+        with pytest.raises(ValueError, match="missing_sentinels"):
+            analyze(RunConfig(input_path=path, output_dir=tmp_path, missing_sentinels="NA"))
+
 
 @pytest.fixture(scope="module")
 def full_result(synthetic_csv):
