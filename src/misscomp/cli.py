@@ -120,7 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(**{name: value for name, value in vars(args).items() if name != "command"})
+    """The command's validated RunConfig, with its --out created, so an
+    unwritable --out fails before the input is read."""
+    config = RunConfig(**{name: value for name, value in vars(args).items() if name != "command"})
+    config.validate()
+    Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    return config
 
 
 def _cmd_analyze(args) -> int:
@@ -175,11 +180,11 @@ def _parse_cells(args) -> list[simulation.SimCondition]:
 
 def _cmd_simulate(args) -> int:
     conditions = _parse_cells(args)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     report = simulation.run_grid(conditions, reps=args.reps, seed=args.seed, workers=args.workers)
     elapsed = time.time() - started
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     reports.write_grid_csv(outdir / "grid.csv", report)
     reports.write_aggregate_csv(outdir / "aggregate.csv", report)
     # the worker count and the elapsed time stay out, so reruns match byte for byte
@@ -230,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error [{args.command}]: {msg}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -251,6 +251,8 @@ def ingest(
     so its levels keep the tokens as written.
     """
     path = Path(path)
+    if isinstance(sentinels, str):  # it would be read one character at a time
+        raise IngestError(f"sentinels must be a sequence of strings, not the string {sentinels!r}")
     problem = _delimiter_error(delimiter)
     if problem:
         raise IngestError(f"cannot read {path}: {problem}")
@@ -286,9 +288,12 @@ def ingest(
 def tabulate(config: RunConfig) -> tuple[Dataset, IndicatorMatrix, PatternTable]:
     """Step 1: ingest the input, build its indicators and tabulate patterns.
 
-    An unreadable input raises IngestError; a column selection that does
-    not fit the data raises PipelineError("step1-indicators").
+    A configuration that fails ``RunConfig.validate`` raises ValueError
+    before the input is read, an unreadable input raises IngestError, and
+    a column selection that does not fit the data raises
+    PipelineError("step1-indicators").
     """
+    config.validate()
     data = ingest(config.input_path, tuple(config.missing_sentinels), config.delimiter)
     try:
         ind = build_indicators(data, config.columns)
@@ -335,12 +340,12 @@ def analyze(config: RunConfig) -> AnalysisResult:
     A configuration that fails ``RunConfig.validate`` raises ValueError
     before the input is read. Past that, failures raise PipelineError with
     the failing step's label; covariate and strata names, that no covariate
-    is named twice, the covariates' numeric kind and the strata column's 2
-    levels among the rows not missing on every indicator are checked against
-    the data right after step 1. A retention outcome of zero components is
-    not an error, the remaining steps are skipped with that reason.
+    is named twice, that no indicator takes a data column's name, the
+    covariates' numeric kind and the strata column's 2 levels among the rows
+    not missing on every indicator are checked against the data right after
+    step 1. A retention outcome of zero components is not an error, the
+    remaining steps are skipped with that reason.
     """
-    config.validate()
     steps: list[dict] = []
     notes: list[str] = []
 
@@ -361,6 +366,12 @@ def analyze(config: RunConfig) -> AnalysisResult:
     except IngestError as exc:
         raise PipelineError("step1-indicators", str(exc)) from exc
     done("step1-indicators", f"{ind.k} indicator columns, {patterns.n_observed_patterns} patterns")
+    # the screens read the data columns and the indicators from one Dataset
+    for name in ind.column_names:
+        if name in data.column_names:
+            raise PipelineError(
+                "step6-screens", f"indicator {name!r} has the name of a data column; rename the column {name!r}"
+            )
     covariates = list(config.covariate_columns or [])
     for i, name in enumerate(covariates):
         if name not in data.column_names:
@@ -636,7 +647,6 @@ def write_bundle(result: AnalysisResult, output_dir: str | Path | None = None) -
 def write_patterns(config: RunConfig) -> tuple[PatternTable, list[str]]:
     """Step 1 alone: write the pattern table in the configured formats and a
     manifest; returns the table and the written file names."""
-    config.validate()
     data, ind, table = tabulate(config)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,12 @@
 """CSV, Markdown and JSON writers for analysis and simulation artifacts.
 
 All writers format numbers explicitly so that a rerun with the same seed
-produces byte-identical files.
+produces byte-identical files. Every CSV file streams through
+``_write_csv`` and every Markdown table through ``_write_md``: each
+writer hands them a header and an iterator of rows, so a table is written
+row by row and never held whole. Both stay private: the benchmark's
+tracer wraps every public ``write_*`` function and counts the bytes of
+the file its first argument names.
 """
 
 from __future__ import annotations
@@ -9,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import platform
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,32 +42,38 @@ def _fmt(x, nd: int = 6) -> str:
     return f"{x:.{nd}f}"
 
 
-def write_patterns_csv(path: Path, table: PatternTable) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The package's one CSV writer: the header, then each row as ``rows`` yields it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["rank", "pattern", "n_missing_vars", "count", "percent"])
-        w.writerows(
-            (row.rank, row.pattern, row.n_missing_vars, row.count, _fmt(row.percent)) for row in table.rows
-        )
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_md(path: Path, title: str, header: list[str], align: list[str], rows) -> None:
+    """The package's one Markdown writer: a title line, a blank line and a
+    table, each row of cells written as ``rows`` yields it."""
+    line = "|" + " {} |" * len(header) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"{title}\n\n" + line.format(*header) + line.format(*align))
+        fh.writelines(line.format(*cells) for cells in rows)
+
+
+def write_patterns_csv(path: Path, table: PatternTable) -> None:
+    rows = ((r.rank, r.pattern, r.n_missing_vars, r.count, _fmt(r.percent)) for r in table.rows)
+    _write_csv(path, ["rank", "pattern", "n_missing_vars", "count", "percent"], rows)
 
 
 def write_patterns_md(path: Path, table: PatternTable) -> None:
-    lines = [
+    dropped = ", dropped from table" if table.fully_missing_dropped else ""
+    title = (
         f"Distinct missingness patterns: {table.n_observed_patterns} observed "
         f"of {table.max_possible} possible across {table.k} indicators "
-        f"(n = {table.n}, fully missing rows = {table.n_fully_missing}"
-        + (", dropped from table" if table.fully_missing_dropped else "")
-        + ")",
-        "",
-        "| rank | pattern | missing vars | count | percent |",
-        "| ---: | :--- | ---: | ---: | ---: |",
-    ]
-    for row in table.rows:
-        lines.append(
-            f"| {row.rank} | `{row.pattern}` | {row.n_missing_vars} "
-            f"| {row.count} | {100 * row.percent:.1f}% |"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+        f"(n = {table.n}, fully missing rows = {table.n_fully_missing}{dropped})"
+    )
+    rows = ((r.rank, f"`{r.pattern}`", r.n_missing_vars, r.count, f"{100 * r.percent:.1f}%") for r in table.rows)
+    header = ["rank", "pattern", "missing vars", "count", "percent"]
+    _write_md(path, title, header, ["---:", ":---", "---:", "---:", "---:"], rows)
 
 
 # one pattern row as json.dump(indent=2, sort_keys=True) lays it out
@@ -105,36 +117,26 @@ def write_patterns_json(path: Path, table: PatternTable) -> None:
 
 
 def write_loadings_csv(path: Path, names: list[str], loadings: np.ndarray) -> None:
-    q = loadings.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["indicator"] + [f"component_{j + 1}" for j in range(q)])
-        for name, row in zip(names, loadings):
-            w.writerow([name] + [_fmt(v, 3) for v in row])
+    header = ["indicator"] + [f"component_{j + 1}" for j in range(loadings.shape[1])]
+    _write_csv(path, header, ([name] + [_fmt(v, 3) for v in row] for name, row in zip(names, loadings)))
 
 
 def write_loadings_md(path: Path, names: list[str], loadings: np.ndarray) -> None:
     q = loadings.shape[1]
-    lines = [
-        f"Component loadings (values above {LOADING_BOLD_THRESHOLD:.3f} in bold)",
-        "",
-        "| indicator | " + " | ".join(f"component {j + 1}" for j in range(q)) + " |",
-        "| :--- |" + " ---: |" * q,
-    ]
-    for name, row in zip(names, loadings):
-        cells = [f"**{v:.3f}**" if abs(v) > LOADING_BOLD_THRESHOLD else f"{v:.3f}" for v in row]
-        lines.append(f"| {name} | " + " | ".join(cells) + " |")
-    Path(path).write_text("\n".join(lines) + "\n")
+    title = f"Component loadings (values above {LOADING_BOLD_THRESHOLD:.3f} in bold)"
+    header = ["indicator"] + [f"component {j + 1}" for j in range(q)]
+    rows = (
+        [name] + [f"**{v:.3f}**" if abs(v) > LOADING_BOLD_THRESHOLD else f"{v:.3f}" for v in row]
+        for name, row in zip(names, loadings)
+    )
+    _write_md(path, title, header, [":---"] + ["---:"] * q, rows)
 
 
 def write_retention_csv(
     path: Path, decisions: dict[str, RetentionDecision], decisive: str
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["criterion", "k_retained", "converged", "decisive"])
-        for crit, dec in decisions.items():
-            w.writerow([crit, dec.k_retained, dec.converged, crit == decisive])
+    rows = ((crit, dec.k_retained, dec.converged, crit == decisive) for crit, dec in decisions.items())
+    _write_csv(path, ["criterion", "k_retained", "converged", "decisive"], rows)
 
 
 def write_retention_curves_csv(
@@ -144,108 +146,73 @@ def write_retention_curves_csv(
     criterion's reference series, in CRITERIA order (profile likelihood's
     reference is its log-likelihood at the split position, one fewer than
     the eigenvalues)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["criterion", "position", "observed_eigenvalue", "reference_value"])
-        for crit in CRITERIA:
-            for j, (ev, ref) in enumerate(zip(eigenvalues, decisions[crit].diagnostics), start=1):
-                w.writerow([crit, j, _fmt(ev), _fmt(ref)])
+    _write_csv(
+        path,
+        ["criterion", "position", "observed_eigenvalue", "reference_value"],
+        (
+            (crit, j, _fmt(ev), _fmt(ref))
+            for crit in CRITERIA
+            for j, (ev, ref) in enumerate(zip(eigenvalues, decisions[crit].diagnostics), start=1)
+        ),
+    )
+
+
+# screens.csv: (column, its cell of a (component, stratum, result) row)
+_SCREEN_COLUMNS = (
+    ("component", lambda c, s, r: c),
+    ("stratum", lambda c, s, r: s),
+    ("variable", lambda c, s, r: r.variable),
+    ("test", lambda c, s, r: r.test),
+    ("statistic", lambda c, s, r: _fmt(r.statistic)),
+    ("df", lambda c, s, r: _fmt(r.df, 2)),
+    ("p_value", lambda c, s, r: _fmt(r.p_value)),
+    ("n_group0", lambda c, s, r: r.n_group0),
+    ("n_group1", lambda c, s, r: r.n_group1),
+    ("n_excluded", lambda c, s, r: r.n_excluded),
+    ("testable", lambda c, s, r: r.testable),
+    ("reason", lambda c, s, r: r.reason),
+)
+
+# logistic.csv: (column, its cell of parameter i of a (component, stratum, model, fit) row)
+_LOGISTIC_COLUMNS = (
+    ("component", lambda c, s, m, f, i: c),
+    ("stratum", lambda c, s, m, f, i: s),
+    ("model", lambda c, s, m, f, i: m),
+    ("parameter", lambda c, s, m, f, i: f.parameter_names[i]),
+    ("coefficient", lambda c, s, m, f, i: _fmt(f.coefficients[i])),
+    ("std_error", lambda c, s, m, f, i: "" if f.standard_errors is None else _fmt(f.standard_errors[i])),
+    ("log_likelihood", lambda c, s, m, f, i: _fmt(f.log_likelihood, 4)),
+    ("null_log_likelihood", lambda c, s, m, f, i: _fmt(f.null_log_likelihood, 4)),
+    ("lr_chi2", lambda c, s, m, f, i: _fmt(f.lr_chi2, 4)),
+    ("lr_df", lambda c, s, m, f, i: f.lr_df),
+    ("lr_p_value", lambda c, s, m, f, i: _fmt(f.lr_p_value)),
+    ("pseudo_r2", lambda c, s, m, f, i: _fmt(f.pseudo_r2)),
+    ("auc", lambda c, s, m, f, i: _fmt(f.auc)),
+    ("sensitivity_pct", lambda c, s, m, f, i: _fmt(100 * f.sensitivity, 2)),
+    ("specificity_pct", lambda c, s, m, f, i: _fmt(100 * f.specificity, 2)),
+    ("correct_pct", lambda c, s, m, f, i: _fmt(100 * f.correct_pct, 2)),
+    ("separated", lambda c, s, m, f, i: f.separated),
+    ("converged", lambda c, s, m, f, i: f.converged),
+    ("n", lambda c, s, m, f, i: f.n),
+    ("aliased", lambda c, s, m, f, i: ";".join(f.aliased)),
+)
+
+
+def _write_spec_csv(path: Path, spec, items) -> None:
+    """A CSV with one column per (column, cell) pair of ``spec`` and one row per item."""
+    _write_csv(path, [name for name, _ in spec], ([cell(*item) for _, cell in spec] for item in items))
 
 
 def write_screens_csv(path: Path, rows: list[tuple[str, str, ScreenResult]]) -> None:
     """Rows are (component label, stratum label, result)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "component",
-                "stratum",
-                "variable",
-                "test",
-                "statistic",
-                "df",
-                "p_value",
-                "n_group0",
-                "n_group1",
-                "n_excluded",
-                "testable",
-                "reason",
-            ]
-        )
-        for component, stratum, r in rows:
-            w.writerow(
-                [
-                    component,
-                    stratum,
-                    r.variable,
-                    r.test,
-                    _fmt(r.statistic),
-                    _fmt(r.df, 2),
-                    _fmt(r.p_value),
-                    r.n_group0,
-                    r.n_group1,
-                    r.n_excluded,
-                    r.testable,
-                    r.reason,
-                ]
-            )
+    _write_spec_csv(path, _SCREEN_COLUMNS, rows)
 
 
 def write_logistic_csv(path: Path, rows: list[tuple[str, str, str, LogisticFit]]) -> None:
-    """Rows are (component label, stratum label, model label, fit)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "component",
-                "stratum",
-                "model",
-                "parameter",
-                "coefficient",
-                "std_error",
-                "log_likelihood",
-                "null_log_likelihood",
-                "lr_chi2",
-                "lr_df",
-                "lr_p_value",
-                "pseudo_r2",
-                "auc",
-                "sensitivity_pct",
-                "specificity_pct",
-                "correct_pct",
-                "separated",
-                "converged",
-                "n",
-                "aliased",
-            ]
-        )
-        for component, stratum, model, fit in rows:
-            for i, name in enumerate(fit.parameter_names):
-                se = "" if fit.standard_errors is None else _fmt(fit.standard_errors[i])
-                w.writerow(
-                    [
-                        component,
-                        stratum,
-                        model,
-                        name,
-                        _fmt(fit.coefficients[i]),
-                        se,
-                        _fmt(fit.log_likelihood, 4),
-                        _fmt(fit.null_log_likelihood, 4),
-                        _fmt(fit.lr_chi2, 4),
-                        fit.lr_df,
-                        _fmt(fit.lr_p_value),
-                        _fmt(fit.pseudo_r2),
-                        _fmt(fit.auc),
-                        _fmt(100 * fit.sensitivity, 2),
-                        _fmt(100 * fit.specificity, 2),
-                        _fmt(100 * fit.correct_pct, 2),
-                        fit.separated,
-                        fit.converged,
-                        fit.n,
-                        ";".join(fit.aliased),
-                    ]
-                )
+    """Rows are (component label, stratum label, model label, fit); each
+    fit's parameters take one line each."""
+    items = ((*row, i) for row in rows for i in range(len(row[3].parameter_names)))
+    _write_spec_csv(path, _LOGISTIC_COLUMNS, items)
 
 
 def _score_rows(scores: ComponentScores, start: int, stop: int):
@@ -268,50 +235,32 @@ def write_scores_csv(path: Path, scores: ComponentScores) -> None:
     header.append("fully_missing")
     n = scores.scores.shape[0]
     step = max(1, _BLOCK_CELLS // len(header))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for start in range(0, n, step):
-            w.writerows(_score_rows(scores, start, min(start + step, n)))
+    blocks = (_score_rows(scores, start, min(start + step, n)) for start in range(0, n, step))
+    _write_csv(path, header, chain.from_iterable(blocks))
 
 
 def write_grid_csv(path: Path, report: SimReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["n_components", "items_per_component", "n", "p_miss", "corr", "method", "replications"]
-        for crit in CRITERIA:
-            header += [f"converged_{crit}", f"proportion_{crit}", f"success_{crit}"]
-        w.writerow(header)
-        for cell in report.cells:
-            c = cell.condition
-            row = [
-                c.n_components,
-                c.items_per_component,
-                c.n,
-                _fmt(c.p_miss, 2),
-                c.corr_kind,
-                c.method,
-                cell.replications_run,
-            ]
-            for crit in CRITERIA:
-                row += [cell.converged[crit], _fmt(cell.proportion(crit)), cell.success(crit)]
-            w.writerow(row)
+    header = ["n_components", "items_per_component", "n", "p_miss", "corr", "method", "replications"]
+    for crit in CRITERIA:
+        header += [f"converged_{crit}", f"proportion_{crit}", f"success_{crit}"]
+    rows = (
+        [c.n_components, c.items_per_component, c.n, _fmt(c.p_miss, 2), c.corr_kind, c.method, cell.replications_run]
+        + [v for crit in CRITERIA for v in (cell.converged[crit], _fmt(cell.proportion(crit)), cell.success(crit))]
+        for cell in report.cells
+        for c in [cell.condition]
+    )
+    _write_csv(path, header, rows)
 
 
 def write_aggregate_csv(path: Path, report: SimReport) -> None:
-    agg = report.aggregate()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["criterion", "mean_proportion_correct", "n_cells", "n_success_cells"])
-        for crit, stats in agg.items():
-            w.writerow(
-                [
-                    crit,
-                    _fmt(stats["mean_proportion_correct"]),
-                    stats["n_cells"],
-                    stats["n_success_cells"],
-                ]
-            )
+    _write_csv(
+        path,
+        ["criterion", "mean_proportion_correct", "n_cells", "n_success_cells"],
+        (
+            (crit, _fmt(stats["mean_proportion_correct"]), stats["n_cells"], stats["n_success_cells"])
+            for crit, stats in report.aggregate().items()
+        ),
+    )
 
 
 def manifest(command: str, files: list[str], **sections) -> dict:

@@ -132,12 +132,11 @@ def _place_ones(keys: np.ndarray, m: np.ndarray, chunk: np.ndarray) -> np.ndarra
     return keys.view(np.float32)
 
 
-def _untied_row(bitgen: np.random.PCG64, n: int, ones: int) -> np.ndarray:
-    """A 0/1 row with ``ones`` ones at its smallest keys, redrawn until they are set apart."""
+def _untied_row(bitgen: np.random.PCG64, n: int, ones: int, chunk: np.ndarray) -> np.ndarray:
+    """A float32 0/1 row with ``ones`` ones at its smallest keys, placed by
+    ``_place_ones`` in ``chunk`` and redrawn until they are set apart."""
     while True:
-        keys = _uint32_keys(bitgen, 1, n)[0]
-        limit = np.partition(keys, ones - 1)[ones - 1]
-        row = keys <= limit
+        row = _place_ones(_uint32_keys(bitgen, 1, n)[None], np.array([ones]), chunk)[0, 0]
         if np.count_nonzero(row) == ones:
             return row
 
@@ -176,7 +175,7 @@ def _permutation_null(ind: IndicatorMatrix, reps: int, seed: int) -> np.ndarray:
         counts = _counts(copies)
         tied = np.argwhere(np.diagonal(counts, axis1=-2, axis2=-1) != m)
         for i, j in tied:
-            copies[i, j] = _untied_row(tie_gen, n, int(m[j]))
+            copies[i, j] = _untied_row(tie_gen, n, int(m[j]), chunk)
         for i in np.unique(tied[:, 0]):
             counts[i] = _counts(copies[i])
         out[start:stop] = np.linalg.eigvalsh(phi(counts, n))[:, ::-1]

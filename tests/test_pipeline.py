@@ -103,6 +103,13 @@ class TestIngest:
         a = data.column("a")
         assert np.isnan(a[0]) and a[1] == 2.0
 
+    def test_bare_string_sentinels_are_an_ingest_error(self, tmp_path):
+        # read one character at a time, "NA" would make the sentinels N and A
+        rows = [["1", "x", "NA"], ["", "y", "2"], ["3", "", "4"], ["5", "N", ""]]
+        path = write_csv(tmp_path / "s.csv", ["a", "b", "c"], rows)
+        with pytest.raises(IngestError, match=r"^sentinels must be a sequence of strings, not the string 'NA'$"):
+            ingest(path, "NA")
+
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("a;b\n1;2\n")
@@ -405,6 +412,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="missing_sentinels"):
             analyze(RunConfig(input_path=path, output_dir=tmp_path, missing_sentinels="NA"))
 
+    def test_tabulate_validates_its_config(self, tmp_path):
+        rows = [["1", "x", "NA"], ["", "y", "2"], ["3", "", "4"], ["5", "N", ""]]
+        path = write_csv(tmp_path / "s.csv", ["a", "b", "c"], rows)
+        with pytest.raises(ValueError, match="^missing_sentinels must be a sequence of strings"):
+            pipeline.tabulate(RunConfig(input_path=path, missing_sentinels="NA"))
+
 
 @pytest.fixture(scope="module")
 def full_result(synthetic_csv):
@@ -558,6 +571,16 @@ class TestAnalyze:
         with pytest.raises(PipelineError, match=r"^strata column must have at least 2 levels$") as err:
             analyze(config)
         assert err.value.step == "step8-strata"
+
+    def test_indicator_named_like_a_data_column_is_step6_error(self, tmp_path, monkeypatch):
+        # the screens would see two columns named age_miss
+        stop_at_step2(monkeypatch)
+        rows = [["" if i % 4 == 0 else str(30 + i), str(i % 2), str(i), str(i % 3)] for i in range(20)]
+        path = write_csv(tmp_path / "clash.csv", ["age", "age_miss", "y", "z"], rows)
+        msg = r"^indicator 'age_miss' has the name of a data column; rename the column 'age_miss'$"
+        with pytest.raises(PipelineError, match=msg) as err:
+            analyze(RunConfig(input_path=path, seed=1))
+        assert err.value.step == "step6-screens"
 
     def test_every_stratum_runs_without_notes(self, full_result):
         assert full_result.steps[-1]["detail"] == "2 stratum rerun(s)"
@@ -804,6 +827,42 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err == "error [step1-indicators]: column 'item1' is selected more than once"
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_analyze_unwritable_out_fails_before_the_input_is_read(self, synthetic_csv, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(pipeline, "ingest", unreachable)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli.main(["analyze", "--input", str(synthetic_csv), "--out", str(out), "--seed", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [analyze]: ") and str(out) in err
+
+    def test_patterns_unwritable_out_fails_before_the_input_is_read(self, synthetic_csv, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(pipeline, "ingest", unreachable)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli.main(["patterns", "--input", str(synthetic_csv), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [patterns]: ") and str(out) in err
+
+    def test_simulate_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(misscomp.simulation, "run_grid", unreachable)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "x"
+        rc = cli.main(["simulate", "--cell", "1x3", "--n", "100", "--reps", "2", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [simulate]: ") and str(out) in err
 
     def test_patterns_missing_input(self, tmp_path, capsys):
         rc = cli.main(["patterns", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])

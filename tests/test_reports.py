@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import tracemalloc
 
@@ -158,6 +159,31 @@ class TestPatternsWriters:
         assert len(payload["rows"]) == n_patterns
         assert payload["rows"][-1]["pattern"] == rows[-1].pattern
         assert path.read_text().endswith("}\n")
+
+    def test_md_streams_to_the_file(self, tmp_path):
+        # the JSON test's table; a list of its Markdown lines, or the one
+        # string they are joined into, would hold every row
+        k, n_patterns = 20, 12000
+        n = n_patterns * (n_patterns + 1) // 2
+        rows = [
+            PatternRow(format(i, f"0{k}b"), n_patterns - i, (n_patterns - i) / n, i + 1)
+            for i in range(n_patterns)
+        ]
+        table = PatternTable(rows, k, n, 0, n, False)
+        path = tmp_path / "patterns.md"
+        tracemalloc.start()
+        try:
+            reports.write_patterns_md(path, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4 + n_patterns
+        assert lines[2] == "| rank | pattern | missing vars | count | percent |"
+        assert lines[3] == "| ---: | :--- | ---: | ---: | ---: |"
+        last = rows[-1]
+        assert lines[-1] == f"| {last.rank} | `{last.pattern}` | {last.n_missing_vars} | 1 | 0.0% |"
 
 
 class TestLoadingsWriters:
@@ -420,6 +446,19 @@ class TestGridWriters:
         assert rows[0] == ["criterion", "mean_proportion_correct", "n_cells", "n_success_cells"]
         assert [r[0] for r in rows[1:]] == list(CRITERIA)
         assert all(r[2] == "1" for r in rows[1:])
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("grid", "d2412c0fc1e3e24883265e4dc84a47887f94f61514087e4b1c361b345917936c"),
+            ("aggregate", "811fada475890ed6a1234d7544f9b50649b78969e5c8f2e777bb0ce9caded152"),
+        ],
+    )
+    def test_bytes_are_pinned(self, tmp_path, report, name, digest):
+        # recorded before the writers shared one CSV helper
+        path = tmp_path / f"{name}.csv"
+        getattr(reports, f"write_{name}_csv")(path, report)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_grid_csv_byte_identical_across_writes(self, tmp_path, report):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
