@@ -99,14 +99,6 @@ def _binary(values, what: str) -> np.ndarray:
     return values.astype(int)
 
 
-def _frequency_weights(weights, n: int) -> np.ndarray:
-    """Frequency weights as floats, checked to be n non-negative whole counts."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,) or not (np.isfinite(w) & (w >= 0) & (w == np.floor(w))).all():
-        raise ValueError("weights must be one non-negative whole count per row")
-    return w
-
-
 def _rows(rows: np.ndarray | None, n: int) -> np.ndarray:
     """A row mask of length ``n`` or row indices as indices; None selects
     every one of the ``n`` rows."""
@@ -171,24 +163,22 @@ def screen(
     return results
 
 
-def roc_auc(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None) -> float:
+def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve by the Mann-Whitney count.
 
     Over the distinct scores, each positive counts the negatives below it
     and half the negatives tied with it; every term is a whole or half
-    count, so the sum is exact. ``weights`` are frequency weights: row i
-    stands for weights[i] identical rows. Raises when only one class is
-    present, where the area is undefined.
+    count, so the sum is exact. Raises when only one class is present,
+    where the area is undefined.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be 1-d and aligned")
     y = _binary(y, "labels")
-    w = np.ones(len(y)) if weights is None else _frequency_weights(weights, len(y))
     distinct, group = np.unique(s, return_inverse=True)
-    pos = np.bincount(group, weights=w * y, minlength=len(distinct))
-    neg = np.bincount(group, weights=w * (1 - y), minlength=len(distinct))
+    pos = np.bincount(group[y == 1], minlength=len(distinct))
+    neg = np.bincount(group[y == 0], minlength=len(distinct))
     n1, n0 = pos.sum(), neg.sum()
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC undefined: only one class present")
@@ -196,24 +186,22 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None =
     return float(u / (n1 * n0))
 
 
-def _independent_columns(x: np.ndarray, weights: np.ndarray | None = None) -> list[int]:
+def _independent_columns(x: np.ndarray) -> list[int]:
     """Left to right, the columns of the design [1, x] that add rank over
     those kept before.
 
-    One pass over DᵀWD (D the design, W the frequency weights or the
-    identity), summed over the float64 chunks of ``row_chunks``, so that
-    for 0/1 ``x`` every entry is an exact count, and scaled to unit
-    diagonal: eliminating each kept column leaves on the diagonal each
-    later column's squared sine to the kept span, and at most RANK_TOL (an
-    all-zero column too) means aliased.
+    One pass over DᵀD (D the design), summed over the float64 chunks of
+    ``row_chunks``, so that for 0/1 ``x`` every entry is an exact count,
+    and scaled to unit diagonal: eliminating each kept column leaves on the
+    diagonal each later column's squared sine to the kept span, and at most
+    RANK_TOL (an all-zero column too) means aliased.
     """
     k = x.shape[1]
     gram = np.zeros((k + 1, k + 1))
-    for rows, c in row_chunks(x):
-        w = np.ones(len(c)) if weights is None else weights[rows]
-        gram[0, 0] += w.sum()
-        gram[0, 1:] += w @ c
-        gram[1:, 1:] += c.T @ c if weights is None else c.T @ (c * w[:, None])
+    for _, c in row_chunks(x):
+        gram[0, 0] += len(c)
+        gram[0, 1:] += c.sum(axis=0)
+        gram[1:, 1:] += c.T @ c
     gram[1:, 0] = gram[0, 1:]
     d = np.sqrt(np.diag(gram))
     d[d == 0.0] = 1.0
@@ -230,6 +218,15 @@ def _certifies(mu: np.ndarray, actual: np.ndarray) -> bool:
     """Whether fitted probabilities ``mu`` put every ``actual`` row above one
     half and every other row below it, which proves complete separation."""
     return bool(np.where(actual, mu > 0.5, mu < 0.5).all())
+
+
+def _null_ll(n: int, n1: int) -> float:
+    """Log-likelihood of ``n`` rows, ``n1`` of them y = 1, each fitted the
+    share n1/n; 0 when every row has one class (0·ln 0 = 0)."""
+    if n1 == 0 or n1 == n:
+        return 0.0
+    pbar = n1 / n
+    return float(n * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
 
 
 def _logistic_fit(
@@ -269,18 +266,14 @@ def fit_logistic(
     y: np.ndarray,
     x: np.ndarray,
     predictor_names: list[str] | None = None,
-    weights: np.ndarray | None = None,
     start: np.ndarray | None = None,
 ) -> LogisticFit:
     """Binary logistic regression by iteratively reweighted least squares.
 
     Newton steps run until the largest score component falls below 1e-8 or
-    100 iterations pass. ``weights`` are frequency weights (row i stands for
-    weights[i] identical rows; rows of count zero drop out, and ``n`` is the
-    total count), so a fit on a table's distinct rows equals the fit on the
-    rows it counts. ``x`` may hold any real dtype (bool, integer or float);
-    the fit's one float64 design, intercept first, is cast from it as it is
-    built, so 0/1 indicators need no float copy of their own.
+    100 iterations pass. ``x`` may hold any real dtype (bool, integer or
+    float); the fit's one float64 design, intercept first, is cast from it
+    as it is built, so 0/1 indicators need no float copy of their own.
 
     ``start`` holds candidate coefficients, intercept first. When its
     entries for the design columns not aliased certify complete separation
@@ -309,10 +302,6 @@ def fit_logistic(
         raise ValueError(f"predictors must be real numbers, got dtype {x.dtype}")
     if x.shape[0] != len(y):
         raise ValueError("y and x must have the same number of rows")
-    if weights is not None:
-        weights = _frequency_weights(weights, len(y))
-        present = weights > 0
-        y, x, weights = y[present], x[present], weights[present]
     # min and max carry any NaN or infinity, and make no copy of x
     if x.dtype.kind == "f" and not np.isfinite([x.min(initial=0.0), x.max(initial=0.0)]).all():
         raise ValueError("predictors must be finite")
@@ -329,12 +318,9 @@ def fit_logistic(
             raise ValueError("start must hold an intercept and one coefficient per predictor")
 
     actual = y == 1
-    # whole counts, exact in any order of summation
-    n = len(y) if weights is None else weights.sum()
-    n1 = np.count_nonzero(actual) if weights is None else weights[actual].sum()
-    pbar = n1 / n
-    ll0 = float(n * (pbar * np.log(pbar) + (1 - pbar) * np.log(1 - pbar)))
-    kept = _independent_columns(x, weights)
+    n, n1 = len(y), np.count_nonzero(actual)
+    ll0 = _null_ll(n, n1)
+    kept = _independent_columns(x)
     names = ["intercept"] + list(predictor_names)
     aliased = [name for j, name in enumerate(names) if j not in kept]
     names = [names[j] for j in kept]
@@ -347,11 +333,9 @@ def fit_logistic(
         if all(_certifies(special.expit(c @ beta[1:] + beta[0]), actual[rows]) for rows, c in chunks):
             return _logistic_fit(names, beta, ll0, n, n1, 1, aliased)
 
-    design = np.ones((len(y), len(kept)))
+    design = np.ones((n, len(kept)))
     for rows, c in row_chunks(x, cols):
         design[rows, 1:] = c
-    # per-row counts; unweighted rows count 1, which leaves every product exact
-    fw = np.ones(len(y)) if weights is None else weights
     y = y.astype(np.float64)
     beta = np.zeros(len(kept))
     converged = singular = False
@@ -360,16 +344,16 @@ def fit_logistic(
         mu = special.expit(design @ beta)
         if _certifies(mu, actual):
             return _logistic_fit(names, beta, ll0, n, n1, iterations, aliased)
-        g = design.T @ (fw * (y - mu))
+        g = design.T @ (y - mu)
         if np.max(np.abs(g)) < IRLS_TOL:
             converged = True
             break
-        w = fw * mu * (1.0 - mu)
+        w = mu * (1.0 - mu)
         hess = design.T @ (design * w[:, None])
         try:
             step = np.linalg.solve(hess, g)
         except np.linalg.LinAlgError:
-            # weights underflow once probabilities saturate; keep the last iterate
+            # mu·(1 − mu) underflows once probabilities saturate; keep the last iterate
             singular = True
             break
         beta = beta + step
@@ -384,16 +368,16 @@ def fit_logistic(
     if not separated:
         # predictor scale for the runaway-coefficient check, an n×k
         # temporary that only this check reads
-        sds = np.sqrt(fw @ (design - fw @ design / n) ** 2 / n)
+        sds = design.std(axis=0)
         sds[0] = 1.0
         separated = bool(np.max(np.abs(beta * sds)) > SEPARATION_COEF_BOUND)
     tiny = 1e-300
-    ll = float(np.sum(fw * (y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny)))))
+    ll = float(np.sum(y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny))))
 
     if separated:
         ses = None
     else:
-        w = fw * mu * (1.0 - mu)
+        w = mu * (1.0 - mu)
         hess = design.T @ (design * w[:, None])
         try:
             ses = np.sqrt(np.diag(np.linalg.inv(hess)))
@@ -401,11 +385,54 @@ def fit_logistic(
             ses = None
 
     predicted = mu > 0.5
-    sens = float(fw[predicted & actual].sum() / n1)
-    spec = float(fw[~predicted & ~actual].sum() / (n - n1))
-    auc = roc_auc(mu, y, weights)
+    sens = np.count_nonzero(predicted & actual) / n1
+    spec = np.count_nonzero(~predicted & ~actual) / (n - n1)
+    auc = roc_auc(mu, y)
     converged = converged and not separated
     return _logistic_fit(names, beta, ll0, n, n1, iterations, aliased, ll, auc, sens, spec, ses, separated, converged)
+
+
+def fit_table(counts, name: str) -> LogisticFit:
+    """The logistic fit of y on one 0/1 predictor ``name``, in closed form
+    from its 2×2 table: ``counts`` holds a = (x=1, y=1), b = (1, 0),
+    c = (0, 1) and d = (0, 0).
+
+    The maximum fits each x level its own share of y = 1 (Agresti,
+    Categorical Data Analysis): intercept ln(c/d), slope ln(ad/bc),
+    standard errors √(1/c+1/d) and √(1/a+1/b+1/c+1/d), log-likelihood
+    Σ cell·ln(share). An empty cell with both levels present leaves no
+    finite maximum (Albert & Anderson 1984): the fit is separated, its
+    coefficients toward that cell infinite, its log-likelihood the
+    supremum, with no standard errors and ``converged`` False. With one
+    level, x is aliased and the fit is the null model.
+    """
+    cells = np.asarray(counts, dtype=np.float64)
+    if cells.shape != (4,) or not (np.isfinite(cells) & (cells >= 0) & (cells == np.floor(cells))).all():
+        raise ValueError("counts must be four non-negative whole numbers")
+    a, b, c, d = (int(v) for v in counts)
+    n1, n0 = a + c, b + d
+    if n1 == 0 or n0 == 0:
+        raise ValueError("y must contain both classes")
+    if a + b == 0 or c + d == 0:  # x is constant: the null model
+        names, aliased = ["intercept"], [name]
+        num, den, var = [n1], [n0], [1 / n1 + 1 / n0]
+    else:
+        names, aliased = ["intercept", name], []
+        num, den = [c, a * d], [d, b * c]
+        var = None if 0 in (a, b, c, d) else [1 / c + 1 / d, 1 / a + 1 / b + 1 / c + 1 / d]
+    with np.errstate(divide="ignore"):
+        beta = np.log(np.divide(num, den, dtype=np.float64))
+    # roc_auc's Mann-Whitney count over the two fitted shares: the ab + cd
+    # pairs within a level tie, and of the pairs across levels the larger
+    # of ad and bc is ranked right (with ad = bc every pair ties)
+    auc = (max(a * d, b * c) + (a * b + c * d) / 2) / (n1 * n0)
+    sens = (a * (a > b) + c * (c > d)) / n1
+    spec = (b * (a <= b) + d * (c <= d)) / n0
+    ll = _null_ll(a + b, a) + _null_ll(c + d, c)
+    ll0 = _null_ll(n1 + n0, n1)
+    separated = var is None
+    ses = None if separated else np.sqrt(var)
+    return _logistic_fit(names, beta, ll0, n1 + n0, n1, 0, aliased, ll, auc, sens, spec, ses, separated, not separated)
 
 
 def strata_levels(

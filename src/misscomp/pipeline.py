@@ -471,18 +471,15 @@ def analyze(config: RunConfig) -> AnalysisResult:
     done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")
 
     x_ind = ind.values[usable]  # uint8; only a fit that does not certify casts a float64 design
-    # a fit on one 0/1 indicator depends only on its 2x2 table against the
-    # flag, so it runs on the table's four cells weighted by their counts
-    cell_x = np.array([[1.0], [1.0], [0.0], [0.0]])
-    cell_y = np.array([1, 0, 1, 0])
+    # a fit on one 0/1 indicator is a closed function of its 2x2 table
+    # against the flag
     n_ones = x_ind.sum(axis=0, dtype=np.int64)
     for label, flag, start in testable:
         both = x_ind[flag == 1].sum(axis=0, dtype=np.int64)
         n_high = flag.sum()
         tables = np.column_stack([both, n_ones - both, n_high - both, len(flag) - n_ones - n_high + both])
         for ind_name, counts in zip(indicator_names, tables):
-            fit = mechanism.fit_logistic(cell_y, cell_x, [ind_name], weights=counts)
-            logistic_rows.append((label, "", f"simple:{ind_name}", fit))
+            logistic_rows.append((label, "", f"simple:{ind_name}", mechanism.fit_table(counts, ind_name)))
         logistic_rows.append(
             (label, "", "multiple", mechanism.fit_logistic(flag, x_ind, indicator_names, start=start))
         )

@@ -48,6 +48,8 @@ class SimCondition:
     def __post_init__(self):
         if self.n_components < 1 or self.items_per_component < 1 or self.n < 2:
             raise ValueError("condition sizes must be positive")
+        if self.k < 2:  # a correlation needs 2 items, so every replication would be blanked
+            raise ValueError(f"a condition needs at least 2 items, got {self.n_components}x{self.items_per_component}")
         if not 0.0 < self.p_miss < 1.0:
             raise ValueError("p_miss must be in (0, 1)")
         if self.corr_kind not in _CORR_CODE:

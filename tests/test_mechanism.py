@@ -14,6 +14,7 @@ from misscomp.mechanism import (
     WELCH_T,
     LogisticFit,
     fit_logistic,
+    fit_table,
     numeric_values,
     roc_auc,
     screen,
@@ -256,80 +257,133 @@ class TestRocAucCounts:
         with pytest.raises(ValueError, match="binary"):
             roc_auc(np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.2, 1, 1]))
 
-    def test_weighted_equals_expanded_rows(self, rng):
-        for _ in range(50):
-            m = int(rng.integers(2, 12))
-            scores = rng.normal(size=m).round(1)  # force ties
-            labels = rng.integers(0, 2, size=m)
-            labels[0], labels[1] = 0, 1
-            counts = rng.integers(0, 30, size=m)
-            counts[:2] += 1
-            expanded = roc_auc(np.repeat(scores, counts), np.repeat(labels, counts))
-            assert roc_auc(scores, labels, counts) == expanded
 
-    def test_bad_weights_rejected(self):
-        s, y = np.array([0.1, 0.2, 0.3]), np.array([0, 1, 1])
-        for bad in ([1, 2], [1, -1, 2], [1, 0.5, 2], [1, np.nan, 2]):
-            with pytest.raises(ValueError):
-                roc_auc(s, y, np.array(bad, dtype=float))
+# the cells of a 2x2 table (a, b, c, d) as (y, x) rows
+CELL_Y = np.array([1, 0, 1, 0])
+CELL_X = np.array([[1.0], [1.0], [0.0], [0.0]])
 
 
-def expand(y, x, counts):
-    """The rows a frequency-weighted table stands for."""
-    return np.repeat(y, counts), np.repeat(x, counts, axis=0)
+def expand(counts):
+    """The rows a 2x2 table counts: their y, and their x as one column."""
+    return np.repeat(CELL_Y, counts), np.repeat(CELL_X, counts, axis=0)
 
 
-def assert_same_fit(weighted, rows):
-    np.testing.assert_allclose(weighted.coefficients, rows.coefficients, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(weighted.standard_errors, rows.standard_errors, rtol=1e-9)
-    assert weighted.log_likelihood == pytest.approx(rows.log_likelihood, rel=1e-12)
-    assert weighted.null_log_likelihood == rows.null_log_likelihood
-    assert weighted.lr_df == rows.lr_df
-    assert (weighted.auc, weighted.sensitivity, weighted.specificity, weighted.correct_pct) == (
+def table_ll(counts):
+    """Oracle: Σ cell·ln(its x level's share of it), 0·ln 0 = 0."""
+    a, b, c, d = (int(v) for v in counts)
+    return sum(k * np.log(k / m) for k, m in ((a, a + b), (b, a + b), (c, c + d), (d, c + d)) if k)
+
+
+def assert_same_fit(table, rows):
+    assert (table.parameter_names, table.aliased) == (rows.parameter_names, rows.aliased)
+    np.testing.assert_allclose(table.coefficients, rows.coefficients, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(table.standard_errors, rows.standard_errors, rtol=1e-9)
+    assert table.log_likelihood == pytest.approx(rows.log_likelihood, rel=1e-12)
+    assert table.null_log_likelihood == rows.null_log_likelihood
+    assert table.lr_df == rows.lr_df
+    assert (table.auc, table.sensitivity, table.specificity, table.correct_pct) == (
         rows.auc, rows.sensitivity, rows.specificity, rows.correct_pct
     )
-    assert (weighted.separated, weighted.converged, weighted.n) == (rows.separated, rows.converged, rows.n)
+    assert (table.separated, table.converged, table.n) == (rows.separated, rows.converged, rows.n)
 
 
-class TestWeightedFit:
-    CELL_Y = np.array([1, 0, 1, 0])
-    CELL_X = np.array([[1.0], [1.0], [0.0], [0.0]])
+class TestFitTable:
+    """``fit_table`` against ``fit_logistic`` on the rows the table counts."""
 
-    def test_two_by_two_tables_match_expanded_rows(self, rng):
-        for _ in range(40):
+    def test_full_tables_match_expanded_rows(self, rng):
+        fitted = 0
+        while fitted < 40:
             counts = rng.integers(1, 400, size=4)
-            weighted = fit_logistic(self.CELL_Y, self.CELL_X, ["x"], weights=counts)
-            assert_same_fit(weighted, fit_logistic(*expand(self.CELL_Y, self.CELL_X, counts), ["x"]))
             a, b, c, d = counts
-            assert weighted.coefficients[1] == pytest.approx(np.log(a * d / (b * c)), abs=1e-8)
+            if a == b or c == d:
+                # a level fitted exactly one half, which IRLS reaches only
+                # to rounding; see test_auc_and_rates_are_those_of_the_fitted_shares
+                continue
+            fit = fit_table(counts, "x")
+            assert_same_fit(fit, fit_logistic(*expand(counts), ["x"]))
+            assert fit.coefficients[1] == pytest.approx(np.log(a * d / (b * c)), rel=1e-14)
+            np.testing.assert_allclose(fit.standard_errors, np.sqrt([1 / c + 1 / d, 1 / a + 1 / b + 1 / c + 1 / d]))
+            assert fit.log_likelihood == pytest.approx(table_ll(counts), rel=1e-13)
+            fitted += 1
 
-    def test_grouped_numeric_predictors_match_expanded_rows(self, rng):
-        x = np.column_stack([np.repeat([-1.5, 0.0, 0.5, 2.0, 3.7], 2), np.tile([0.0, 1.0], 5)])
-        x = np.vstack([x, x])
-        y = np.r_[np.zeros(10, dtype=int), np.ones(10, dtype=int)]
-        for _ in range(10):
-            counts = rng.integers(1, 60, size=len(y))
-            weighted = fit_logistic(y, x, ["u", "v"], weights=counts)
-            assert_same_fit(weighted, fit_logistic(*expand(y, x, counts), ["u", "v"]))
+    def test_auc_and_rates_are_those_of_the_fitted_shares(self, rng):
+        # small counts give ties a = b and tables with ad = bc; every row is
+        # scored by its x level's share of y = 1
+        for _ in range(200):
+            counts = rng.integers(0, 7, size=4)
+            a, b, c, d = counts
+            if a + c == 0 or b + d == 0:
+                continue
+            y = expand(counts)[0]
+            share = np.array([a, a, c, c]) / np.maximum([a + b, a + b, c + d, c + d], 1)
+            score = np.repeat(share, counts)
+            fit = fit_table(counts, "x")
+            assert fit.auc == roc_auc(score, y)
+            assert fit.sensitivity == np.count_nonzero((score > 0.5) & (y == 1)) / (a + c)
+            assert fit.specificity == np.count_nonzero((score <= 0.5) & (y == 0)) / (b + d)
 
-    def test_zero_count_rows_drop_out_before_validation(self):
-        counts = np.array([20, 15, 10, 35, 0])
-        y = np.r_[self.CELL_Y, 1]
-        x = np.vstack([self.CELL_X, [[np.nan]]])
-        fit = fit_logistic(y, x, ["x"], weights=counts)
-        assert fit.n == 80
-        assert_same_fit(fit, fit_logistic(self.CELL_Y, self.CELL_X, ["x"], weights=counts[:4]))
+    def test_empty_cells_separate_at_the_supremum(self, rng):
+        seen = set()
+        for _ in range(200):
+            counts = rng.integers(1, 50, size=4) * (rng.random(4) < 0.6)
+            a, b, c, d = counts
+            if 0 not in counts or 0 in (a + b, c + d, a + c, b + d):
+                continue
+            seen.add(tuple(counts == 0))
+            fit = fit_table(counts, "x")
+            assert fit.separated and not fit.converged
+            assert fit.standard_errors is None
+            with np.errstate(divide="ignore"):
+                level0, level1 = np.log(c) - np.log(d), np.log(a) - np.log(b)
+            # each level's logit, infinite toward an empty cell
+            np.testing.assert_allclose(fit.coefficients, [level0, level1 - level0], rtol=1e-13)
+            assert fit.log_likelihood == pytest.approx(table_ll(counts), rel=1e-13, abs=0.0)
+            # the supremum bounds every iterate of the fit on the rows,
+            # whose coefficients head the same way
+            rows = fit_logistic(*expand(counts), ["x"])
+            assert rows.separated and rows.log_likelihood <= fit.log_likelihood + 1e-9
+            infinite = np.isinf(fit.coefficients)
+            np.testing.assert_array_equal(np.sign(rows.coefficients[infinite]), np.sign(fit.coefficients[infinite]))
+            assert fit.null_log_likelihood == rows.null_log_likelihood
+        # each single empty cell, and both diagonals
+        assert len(seen) == 6
 
-    def test_constant_column_of_the_present_rows_aliased(self):
-        # the x = 1 cells are empty, so x is zero on every counted row
-        fit = fit_logistic(self.CELL_Y, self.CELL_X, ["x"], weights=np.array([0, 0, 7, 9]))
+    def test_diagonal_table_separated(self):
+        fit = fit_table([12, 0, 0, 30], "x")
+        assert fit.separated and not fit.converged
+        np.testing.assert_array_equal(fit.coefficients, [-np.inf, np.inf])
+        assert fit.log_likelihood == 0.0 and fit.pseudo_r2 == 1.0
+        assert (fit.auc, fit.sensitivity, fit.specificity, fit.correct_pct) == (1.0, 1.0, 1.0, 1.0)
+        assert fit.n == 42
+
+    def test_one_empty_cell_separated(self):
+        # quasi-complete: the x = 1 rows all have y = 1, the x = 0 rows
+        # keep both classes at their share
+        fit = fit_table([25, 0, 10, 30], "x")
+        assert fit.separated
+        assert not fit.converged
+        assert fit.standard_errors is None
+        assert fit.coefficients[0] == pytest.approx(np.log(10 / 30), rel=1e-15)
+        assert fit.coefficients[1] == np.inf
+        assert fit.log_likelihood == pytest.approx(10 * np.log(10 / 40) + 30 * np.log(30 / 40), rel=1e-15)
+
+    @pytest.mark.parametrize("counts", [[0, 0, 7, 9], [5, 8, 0, 0]], ids=["x_all_zero", "x_all_one"])
+    def test_one_x_level_aliased(self, counts):
+        # one level: x is zero or the intercept on every row, and the fit is the null model
+        fit = fit_table(counts, "x")
         assert fit.aliased == ["x"]
         assert fit.parameter_names == ["intercept"]
+        assert fit.log_likelihood == fit.null_log_likelihood and fit.lr_chi2 == 0.0
+        assert fit.converged and not fit.separated
+        assert_same_fit(fit, fit_logistic(*expand(counts), ["x"]))
 
-    def test_bad_weights_rejected(self):
-        for bad in ([1, 2, 3], [1, 2, 3, -4], [1, 2, 3, 4.5], [1, 2, np.inf, 4]):
-            with pytest.raises(ValueError):
-                fit_logistic(self.CELL_Y, self.CELL_X, ["x"], weights=np.array(bad, dtype=float))
+    def test_bad_counts_rejected(self):
+        for bad in ([1, 2, 3], [1, 2, 3, -4], [1, 2, 3, 4.5], [1, 2, np.inf, 4], [1, 2, np.nan, 4]):
+            with pytest.raises(ValueError, match="counts"):
+                fit_table(bad, "x")
+        for one_class in ([3, 0, 4, 0], [0, 3, 0, 4]):
+            with pytest.raises(ValueError, match="both classes"):
+                fit_table(one_class, "x")
 
 
 def first_separating_iterate(y, x):
@@ -362,25 +416,6 @@ class TestSeparationCertificate:
         assert fit.pseudo_r2 == 1.0
         assert (fit.auc, fit.sensitivity, fit.specificity, fit.correct_pct) == (1.0, 1.0, 1.0, 1.0)
 
-    def test_diagonal_table_certified(self):
-        fit = fit_logistic(TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X, ["x"], weights=[12, 0, 0, 30])
-        assert fit.separated and not fit.converged
-        assert fit.log_likelihood == 0.0
-        assert fit.n == 42
-
-    def test_one_empty_cell_not_certified_but_separated(self):
-        # quasi-complete: the x = 0 cells hold both classes at one fitted
-        # probability, so no iterate classifies every row
-        counts = np.array([25, 0, 10, 30])
-        fit = fit_logistic(TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X, ["x"], weights=counts)
-        assert fit.separated
-        assert not fit.converged
-        assert fit.standard_errors is None
-        assert fit.log_likelihood < 0.0
-        assert fit.log_likelihood == pytest.approx(10 * np.log(10 / 40) + 30 * np.log(30 / 40), abs=1e-6)
-        rows = fit_logistic(*expand(TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X, counts), ["x"])
-        assert rows.separated and rows.log_likelihood < 0.0
-
 
 def assert_identical_fit(a, b):
     """Every field of two fits equal, arrays and floats bit for bit."""
@@ -394,20 +429,17 @@ def assert_identical_fit(a, b):
             assert u == v, f.name
 
 
-def assert_certified_at(fit, y, x, start, weights=None):
+def assert_certified_at(fit, y, x, start):
     """Oracle: the fields of a fit certified at ``start``, worked out from
-    the float64 design [1, x] of the rows that count: the kept columns by
-    greedy ``matrix_rank``, ``start`` on them as the coefficients (checked
-    to split the classes), the null log-likelihood in closed form and the
-    LR p-value from ``scipy.stats.chi2``."""
+    the float64 design [1, x]: the kept columns by greedy ``matrix_rank``,
+    ``start`` on them as the coefficients (checked to split the classes),
+    the null log-likelihood in closed form and the LR p-value from
+    ``scipy.stats.chi2``."""
     y = np.asarray(y, dtype=np.float64)
-    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=np.float64)
-    counted = w > 0
-    design = np.column_stack([np.ones(len(y)), np.asarray(x, dtype=np.float64)])[counted]
-    y, w = y[counted], w[counted]
+    design = np.column_stack([np.ones(len(y)), np.asarray(x, dtype=np.float64)])
     kept = greedy_rank_columns(design)
     np.testing.assert_array_equal(design[:, kept] @ start[kept] > 0, y == 1)
-    n, n1 = w.sum(), w[y == 1].sum()
+    n, n1 = len(y), np.count_nonzero(y == 1)
     ll0 = n1 * np.log(n1 / n) + (n - n1) * np.log((n - n1) / n)
     names = ["intercept"] + [f"x{j}" for j in range(1, design.shape[1])]
     assert fit.parameter_names == [names[j] for j in kept]
@@ -482,15 +514,6 @@ class TestStart:
         assert plain.aliased == ["x4"] and plain.iterations > 1
         assert_identical_fit(fit_logistic(y, design, start=start), plain)
 
-    def test_weighted_rows_of_count_zero_drop_before_the_check(self):
-        # the (x = 1, y = 0) cell refutes the start unless it counts zero
-        y, x = TestWeightedFit.CELL_Y, TestWeightedFit.CELL_X
-        plain = fit_logistic(y, x, ["x"], weights=[12, 4, 5, 30])
-        assert_identical_fit(fit_logistic(y, x, ["x"], weights=[12, 4, 5, 30], start=[-1.0, 2.0]), plain)
-        fit = fit_logistic(y, x, ["x"], weights=[12, 0, 0, 30], start=[-1.0, 2.0])
-        assert fit.iterations == 1 and fit.n == 42
-        np.testing.assert_array_equal(fit.coefficients, [-1.0, 2.0])
-
     def test_start_of_the_wrong_length_rejected(self, rng):
         y, x = self.separated(rng)
         with pytest.raises(ValueError, match="start"):
@@ -514,14 +537,6 @@ class TestPredictorDtypes:
         plain = fit_logistic(y, x.astype(np.float64))
         assert plain.converged and plain.standard_errors is not None
         assert_identical_fit(fit_logistic(y, x.astype(dtype)), plain)
-
-    @pytest.mark.parametrize("dtype", [np.uint8, bool])
-    def test_weighted_fit_equals_the_float64_fit(self, rng, dtype):
-        y, x = self.indicators(rng)
-        counts = rng.integers(0, 30, size=len(y))
-        plain = fit_logistic(y, x.astype(np.float64), weights=counts)
-        assert plain.converged and plain.n == counts.sum()
-        assert_identical_fit(fit_logistic(y, x.astype(dtype), weights=counts), plain)
 
     @pytest.mark.parametrize("dtype", [np.uint8, bool, np.float64])
     def test_certifying_start_equals_the_float64_fit(self, rng, dtype):
@@ -572,8 +587,8 @@ class TestPredictorDtypes:
 
 class TestCertifiedFromCounts:
     """A fit whose start certifies reads x in float64 row chunks and builds
-    no design, whatever the dtype of x and with or without weights; each
-    fit is checked against the oracle worked out from the design."""
+    no design, whatever the dtype of x; each fit is checked against the
+    oracle worked out from the design."""
 
     W = np.array([2.0, -1.0, 1.5, 0.5])
 
@@ -592,16 +607,6 @@ class TestCertifiedFromCounts:
             fit = fit_logistic(y, x.astype(dtype), start=start)
             assert fit.aliased == ["x5"]
             assert_certified_at(fit, y, x, start)
-
-    def test_weighted_fit_certifies_on_the_rows_that_count(self, rng):
-        y, x = self.separated(rng)
-        counts = rng.integers(0, 5, size=len(y))
-        # a row that refutes the start counts zero
-        y, x, counts = np.r_[y, 1 - y[:1]], np.vstack([x, x[:1]]), np.r_[counts, 0]
-        start = np.r_[-0.75, self.W]
-        for dtype in (np.uint8, bool, np.float64):
-            fit = fit_logistic(y, x.astype(dtype), weights=counts, start=start)
-            assert_certified_at(fit, y, x, start, counts)
 
     def test_start_that_does_not_certify_changes_nothing(self, rng):
         y, x = self.separated(rng)
@@ -650,7 +655,7 @@ class TestRowWalk:
 
     W = np.array([2.0, -1.0, 1.5, 0.5])
 
-    @pytest.mark.parametrize("case", ["irls", "certified", "weighted"])
+    @pytest.mark.parametrize("case", ["irls", "certified"])
     def test_a_cap_of_a_few_dozen_cells_changes_no_fit(self, rng, monkeypatch, case):
         x = (rng.random((403, len(self.W))) < 0.4).astype(np.uint8)
         # x5 duplicates x1, so the walks read the kept columns only
@@ -662,8 +667,6 @@ class TestRowWalk:
             kwargs["start"] = np.r_[-0.75, self.W, 0.0]
         else:
             y = (rng.random(len(x)) < 0.2 + 0.5 * x[:, 0]).astype(int)
-        if case == "weighted":
-            kwargs["weights"] = rng.integers(0, 30, size=len(y))
         want = fit_logistic(y, x, **kwargs)
         assert want.aliased == ["x5"]
         assert want.iterations == 1 if case == "certified" else want.converged

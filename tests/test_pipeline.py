@@ -879,6 +879,13 @@ class TestCli:
         assert rc == 1
         assert "--cell" in capsys.readouterr().err
 
+    def test_simulate_rejects_a_single_item_cell(self, tmp_path, capsys):
+        args = ["--cell", "1x1", "--n", "100", "--pmiss", "0.25", "--reps", "3", "--out", str(tmp_path)]
+        rc = cli.main(["simulate", *args])
+        assert rc == 1
+        assert capsys.readouterr().err == "error [simulate]: a condition needs at least 2 items, got 1x1\n"
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_simulate_small_cell(self, tmp_path, capsys):
         rc = cli.main(
             [
@@ -1019,6 +1026,10 @@ def golden_csv(tmp_path_factory):
 # which alias the all-zero site_miss column, began to start at that same
 # direction restricted to the kept columns: only the coefficient cells of
 # the stratum multiple rows moved, to the whole-sample separating direction.
+# It was re-recorded last when the one-indicator fits began to be solved in
+# closed form from their 2x2 tables: only simple:site_miss's slope cell
+# moved, from -18.469338 (the last IRLS iterate) to -inf, since its x = 1
+# cell with y = 1 is empty and the maximum lies at infinity.
 # retention_curves.csv was re-recorded when the permutation null began to
 # draw uint32 keys, two from each raw PCG64 output of a key generator
 # spawned from the seed, and to redraw a row tied at its threshold from a
@@ -1027,7 +1038,7 @@ def golden_csv(tmp_path_factory):
 GOLDEN_DIGESTS = {
     "loadings.csv": "4e439111979192ded9ef9ed4c2ff7df2c9af79f50e081ab690920a23ef714be2",
     "loadings.md": "04d120c61d2970c46bb9e8576f5d6452dead939b0b64bef95bcc73ea2b4874df",
-    "logistic.csv": "c10b4114c6bba0bc35bc721c21e5f48fecc9d47cb52ac074b27107dba2c943fa",
+    "logistic.csv": "e944f2eb7f4c205ad7cc7019e566dba99a32a7467e577ec32f522185721ef68e",
     "patterns.csv": "f105cf94e1098678cf5fa3e852190b5380939276619605386f0407dee0a7f772",
     "patterns.json": "54562e14ba8e1beccc05449b5cdd8de42b9e08fed59a411f6f7209a9a179fd9e",
     "patterns.md": "89615180fcf80d2dfa61e667d30e9133aae5421e007e5d87a88fb7073bf83704",
@@ -1074,11 +1085,17 @@ class TestGoldenBundle:
             flag = result.scores.dichotomized[usable, int(comp.split("_")[1]) - 1].astype(int)
             name = model.split(":", 1)[1]
             rows = fit_logistic(flag, x[:, [result.ind.column_names.index(name)]], [name])
-            np.testing.assert_allclose(fit.coefficients, rows.coefficients, rtol=1e-9, atol=1e-12)
             assert fit.separated == rows.separated
             if not rows.separated:
+                np.testing.assert_allclose(fit.coefficients, rows.coefficients, rtol=1e-9, atol=1e-12)
                 np.testing.assert_allclose(fit.standard_errors, rows.standard_errors, rtol=1e-9)
-            assert fit.log_likelihood == pytest.approx(rows.log_likelihood, rel=1e-12)
+                assert fit.log_likelihood == pytest.approx(rows.log_likelihood, rel=1e-12)
+            else:
+                # the table's slope is infinite, the row fit's last iterate
+                # heads the same way, and the supremum bounds its likelihood
+                assert np.isinf(fit.coefficients[1])
+                assert np.sign(fit.coefficients[1]) == np.sign(rows.coefficients[1])
+                assert fit.log_likelihood >= rows.log_likelihood
             assert fit.null_log_likelihood == rows.null_log_likelihood
             assert (fit.auc, fit.sensitivity, fit.specificity, fit.n) == (
                 rows.auc, rows.sensitivity, rows.specificity, rows.n

@@ -40,6 +40,11 @@ class TestCondition:
         with pytest.raises(ValueError):
             SimCondition(1, 3, 100, 0.25, corr_kind="spearman")
 
+    def test_single_item_rejected(self):
+        with pytest.raises(ValueError, match=r"^a condition needs at least 2 items, got 1x1$"):
+            SimCondition(1, 1, 100, 0.25)
+        assert SimCondition(2, 1, 100, 0.25).k == 2
+
     def test_k(self):
         assert SimCondition(3, 5, 100, 0.25).k == 15
 
