@@ -167,15 +167,12 @@ def _parse_cells(args) -> list[simulation.SimCondition]:
         pmisses = [float(v) for v in args.pmiss.split(",")]
     except ValueError:
         raise PipelineError("simulate", "--n takes integers and --pmiss takes floats") from None
-    try:
-        return [
-            simulation.SimCondition(c, i, n, p, args.corr, args.method)
-            for c, i in structures
-            for n in ns
-            for p in pmisses
-        ]
-    except ValueError as exc:
-        raise PipelineError("simulate", str(exc)) from exc
+    return [
+        simulation.SimCondition(c, i, n, p, args.corr, args.method)
+        for c, i in structures
+        for n in ns
+        for p in pmisses
+    ]
 
 
 def _cmd_simulate(args) -> int:

@@ -20,7 +20,6 @@ CHI_SQUARE = "chi_square"
 IRLS_MAX_ITER = 100
 IRLS_TOL = 1e-8
 SEPARATION_PROB_TOL = 1e-8
-SEPARATION_COEF_BOUND = 15.0
 RANK_TOL = 1e-10
 
 
@@ -289,12 +288,14 @@ def fit_logistic(
     classes strictly), so no finite maximum exists: the fit stops there with
     that iterate's coefficients, a separating direction at an arbitrary
     scale, log-likelihood 0 (the supremum) and ``converged`` False.
-    Quasi-complete separation has no such certificate; it is detected after
-    the fit from a row fitted to its own label or runaway standardized
-    coefficients. No maximum exists under either kind, so a separated fit
-    reports ``converged`` False even when the score test passed; it also
-    suppresses its standard errors, while classification metrics stay
-    available.
+    Quasi-complete separation has no such certificate. One rule detects it
+    after the fit: some row ends fitted to its own label within
+    SEPARATION_PROB_TOL. No maximum exists under either kind, so a
+    separated fit reports ``converged`` False even when the score test
+    passed; it also suppresses its standard errors, while classification
+    metrics stay available. Every other fit reports standard errors, None
+    only when its Hessian cannot be inverted. A Newton step that cannot be
+    solved ends the loop at the last iterate, with ``converged`` False.
     """
     y = np.asarray(y)
     x = np.atleast_2d(np.asarray(x))
@@ -338,7 +339,7 @@ def fit_logistic(
         design[rows, 1:] = c
     y = y.astype(np.float64)
     beta = np.zeros(len(kept))
-    converged = singular = False
+    converged = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = special.expit(design @ beta)
@@ -354,35 +355,24 @@ def fit_logistic(
             step = np.linalg.solve(hess, g)
         except np.linalg.LinAlgError:
             # mu·(1 − mu) underflows once probabilities saturate; keep the last iterate
-            singular = True
             break
         beta = beta + step
 
     mu = special.expit(design @ beta)
-    # post-fit detection of quasi-complete separation: a row fitted to its
-    # own label within SEPARATION_PROB_TOL (the score test passes once the
-    # rows a separating direction splits off saturate, while the
-    # coefficients still drift), or runaway standardized coefficients
-    saturated = bool((np.where(actual, 1.0 - mu, mu) < SEPARATION_PROB_TOL).any())
-    separated = singular or saturated
-    if not separated:
-        # predictor scale for the runaway-coefficient check, an n×k
-        # temporary that only this check reads
-        sds = design.std(axis=0)
-        sds[0] = 1.0
-        separated = bool(np.max(np.abs(beta * sds)) > SEPARATION_COEF_BOUND)
+    # quasi-complete separation: the score test passes once the rows a
+    # separating direction splits off saturate, while the coefficients drift
+    separated = bool((np.where(actual, 1.0 - mu, mu) < SEPARATION_PROB_TOL).any())
     tiny = 1e-300
     ll = float(np.sum(y * np.log(np.maximum(mu, tiny)) + (1 - y) * np.log(np.maximum(1 - mu, tiny))))
 
-    if separated:
-        ses = None
-    else:
+    ses = None
+    if not separated:
         w = mu * (1.0 - mu)
         hess = design.T @ (design * w[:, None])
         try:
             ses = np.sqrt(np.diag(np.linalg.inv(hess)))
         except np.linalg.LinAlgError:
-            ses = None
+            pass
 
     predicted = mu > 0.5
     sens = np.count_nonzero(predicted & actual) / n1

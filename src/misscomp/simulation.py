@@ -81,8 +81,9 @@ class CellResult:
     correct: dict[str, int]
 
     def proportion(self, criterion: str) -> float:
+        """Share of decided replications that are correct; NaN when none was decided."""
         conv = self.converged[criterion]
-        return self.correct[criterion] / conv if conv else 0.0
+        return self.correct[criterion] / conv if conv else np.nan
 
     def success(self, criterion: str) -> bool:
         return self.proportion(criterion) >= SUCCESS_THRESHOLD
@@ -95,12 +96,14 @@ class SimReport:
     seed: int
 
     def aggregate(self) -> dict[str, dict[str, float]]:
-        """Mean per-cell proportion correct and success-cell count per criterion."""
+        """Mean per-cell proportion correct and success-cell count per
+        criterion, over the cells where some replication was decided; the
+        mean is NaN when there is none."""
         out = {}
         for crit in CRITERIA:
-            props = [cell.proportion(crit) for cell in self.cells]
+            props = [p for p in (cell.proportion(crit) for cell in self.cells) if not np.isnan(p)]
             out[crit] = {
-                "mean_proportion_correct": float(np.mean(props)) if props else 0.0,
+                "mean_proportion_correct": float(np.mean(props)) if props else np.nan,
                 "n_cells": len(props),
                 "n_success_cells": sum(cell.success(crit) for cell in self.cells),
             }
@@ -120,10 +123,7 @@ def block_sigma(n_components: int, items_per_component: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cholesky(n_components: int, items_per_component: int) -> np.ndarray:
-    sigma = block_sigma(n_components, items_per_component)
-    if np.linalg.eigvalsh(sigma)[0] <= 0.0:
-        raise ValueError("planted correlation structure is not positive definite")
-    return np.linalg.cholesky(sigma)
+    return np.linalg.cholesky(block_sigma(n_components, items_per_component))
 
 
 def sample_latent(cond: SimCondition, rng: np.random.Generator) -> np.ndarray:

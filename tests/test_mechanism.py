@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 import scipy.stats
+from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -810,6 +811,53 @@ class TestFitLogistic:
     def test_single_class_outcome_rejected(self):
         with pytest.raises(ValueError):
             fit_logistic(np.ones(10), np.random.default_rng(0).normal(size=(10, 1)))
+
+
+class TestSeparationRule:
+    def test_near_collinear_fit_is_not_separated(self):
+        # two predictors 0.01 apart give large opposite slopes with large
+        # standard errors, but no row is fitted to its own label: the MLE
+        # exists and IRLS reaches it
+        rng = np.random.default_rng(0)
+        n = 200
+        x1 = rng.standard_normal(n)
+        x2 = x1 + 0.01 * rng.standard_normal(n)
+        y = rng.random(n) < special.expit(0.5 * x1)
+        fit = fit_logistic(y, np.column_stack([x1, x2]))
+        assert fit.converged and not fit.separated
+        assert fit.aliased == []
+        assert fit.standard_errors is not None and np.isfinite(fit.standard_errors).all()
+        design = np.column_stack([np.ones(n), x1, x2])
+        mu = special.expit(design @ fit.coefficients)
+        np.testing.assert_allclose(design.T @ (y - mu), 0.0, atol=1e-8)
+        hess = design.T @ (design * (mu * (1 - mu))[:, None])
+        np.testing.assert_allclose(fit.standard_errors, np.sqrt(np.diag(np.linalg.inv(hess))), rtol=1e-6)
+
+    def test_failed_newton_step_keeps_the_last_iterate(self, rng, monkeypatch):
+        n = 120
+        x = rng.normal(size=(n, 2))
+        y = (rng.random(n) < special.expit(0.4 + x @ [0.8, -0.5])).astype(int)
+        design = np.column_stack([np.ones(n), x])
+        # the first Newton step from zero, where every fitted probability is 1/2
+        first = np.linalg.solve(0.25 * design.T @ design, design.T @ (y - 0.5))
+        solve, calls = np.linalg.solve, []
+
+        def solve_once(a, b):
+            calls.append(1)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_once)
+        fit = fit_logistic(y, x)
+        assert len(calls) == 2
+        assert fit.iterations == 2
+        assert not fit.converged and not fit.separated
+        np.testing.assert_allclose(fit.coefficients, first, rtol=1e-12)
+        mu = special.expit(design @ first)
+        assert fit.log_likelihood == pytest.approx(np.sum(y * np.log(mu) + (1 - y) * np.log(1 - mu)), rel=1e-12)
+        hess = design.T @ (design * (mu * (1 - mu))[:, None])
+        np.testing.assert_allclose(fit.standard_errors, np.sqrt(np.diag(np.linalg.inv(hess))), rtol=1e-10)
 
 
 class TestStratifiedRerun:

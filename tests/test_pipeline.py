@@ -607,6 +607,39 @@ class TestAnalyze:
         assert result.steps[-1] == {"step": "step8-strata", "status": "done", "detail": "1 stratum rerun(s)"}
         assert {s for _, s, _ in result.screen_rows if s} == {"grp=y"}
 
+    def test_single_class_component_is_noted(self, synthetic_csv):
+        # no score reaches a cutoff this high, so every usable row is unflagged
+        result = analyze(RunConfig(input_path=synthetic_csv, seed=123, cutoff=1e6, covariate_columns=["age"]))
+        assert result.q == 1
+        assert not result.scores.dichotomized.any()
+        assert "component_1: dichotomized score has a single class; screens and fits skipped" in result.notes
+        assert result.screen_rows == [] and result.logistic_rows == []
+        steps = {s["step"]: s["detail"] for s in result.steps}
+        assert steps["step6-screens"] == "0 screen rows across 0 component(s)"
+        assert steps["step7-logistic"] == "0 fitted model(s)"
+
+    def test_covariate_fit_without_both_classes_is_noted(self, synthetic_csv, full_result, tmp_path):
+        # a covariate observed only on unflagged rows leaves one class among
+        # its complete rows
+        flag = full_result.scores.dichotomized[:, 0]
+        z = ["" if flag[i] else str(i % 7) for i in range(400)]
+        path = with_columns(synthetic_csv, tmp_path / "z.csv", z=z)
+        items = [f"item{j}" for j in range(1, 6)]
+        result = analyze(RunConfig(input_path=path, seed=123, columns=items, covariate_columns=["z"]))
+        np.testing.assert_array_equal(result.scores.dichotomized, full_result.scores.dichotomized)
+        assert "component_1: covariate fit skipped (no complete rows with both classes)" in result.notes
+        models = [m for _, _, m, _ in result.logistic_rows]
+        assert "covariates" not in models and "multiple" in models
+
+    def test_paf_non_convergence_is_noted(self, synthetic_csv, monkeypatch):
+        note = "principal axis factoring did not converge; last iterate reported"
+        config = RunConfig(input_path=synthetic_csv, seed=123, extraction_method="paf")
+        assert note not in analyze(config).notes
+        monkeypatch.setattr(pipeline.extraction, "PAF_MAX_ITER", 1)
+        result = analyze(config)
+        assert not result.solution.converged and result.solution.iterations == 1
+        assert note in result.notes
+
 
 class TestBundle:
     def test_file_list_all_formats(self, full_result, tmp_path):
@@ -885,6 +918,20 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "error [simulate]: a condition needs at least 2 items, got 1x1\n"
         assert not (tmp_path / "grid.csv").exists()
+
+    def test_simulate_undecided_cell_prints_blanks(self, tmp_path, capsys):
+        # every replication drops a column, so no criterion has a proportion
+        args = ["--cell", "2x2", "--n", "5", "--pmiss", "0.01", "--reps", "3", "--out", str(tmp_path)]
+        assert cli.main(["simulate", *args]) == 0
+        with open(tmp_path / "grid.csv", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        for crit in CRITERIA:
+            assert row[header.index(f"converged_{crit}")] == "0"
+            assert row[header.index(f"proportion_{crit}")] == ""
+            assert row[header.index(f"success_{crit}")] == "False"
+        with open(tmp_path / "aggregate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[crit, "", "0", "0"] for crit in CRITERIA]
 
     def test_simulate_small_cell(self, tmp_path, capsys):
         rc = cli.main(

@@ -146,6 +146,14 @@ class TestRunCondition:
             assert 0 <= cell.converged[crit] <= 40
             assert cell.correct[crit] <= cell.converged[crit]
 
+    def test_undecided_cell_has_no_proportion(self):
+        # 5 rows at 1% missing: every replication drops a never-missing column
+        cell = run_condition(SimCondition(2, 2, 5, 0.01), reps=3, seed=0)
+        for crit in CRITERIA:
+            assert cell.converged[crit] == cell.correct[crit] == 0
+            assert np.isnan(cell.proportion(crit))
+            assert not cell.success(crit)
+
     def test_determinism(self):
         cond = SimCondition(3, 3, 150, 0.25)
         a = run_condition(cond, reps=8, seed=42)
@@ -250,6 +258,20 @@ class TestRunGrid:
         for crit in CRITERIA:
             assert agg[crit]["mean_proportion_correct"] == cell.proportion(crit)
             assert agg[crit]["n_cells"] == 1
+
+    def test_aggregate_leaves_out_undecided_cells(self):
+        undecided, decided = SimCondition(2, 2, 5, 0.01), SimCondition(1, 5, 500, 0.25)
+        report = run_grid([undecided, decided, undecided], reps=4, seed=1)
+        alone = run_grid([decided], reps=4, seed=1)
+        assert report.aggregate() == alone.aggregate()
+        for crit in CRITERIA:
+            assert report.aggregate()[crit]["n_cells"] == 1
+
+    def test_aggregate_of_no_decided_cell_is_nan(self):
+        agg = run_grid([SimCondition(2, 2, 5, 0.01)], reps=3, seed=0).aggregate()
+        for crit in CRITERIA:
+            assert np.isnan(agg[crit]["mean_proportion_correct"])
+            assert agg[crit]["n_cells"] == agg[crit]["n_success_cells"] == 0
 
     def test_full_grid_shape_and_order(self):
         grid = full_grid()
