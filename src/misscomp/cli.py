@@ -120,10 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args) -> RunConfig:
-    """The command's validated RunConfig, with its --out created, so an
-    unwritable --out fails before the input is read."""
+    """The command's RunConfig, with its --out created, so an unwritable
+    --out fails before the input is read."""
     config = RunConfig(**{name: value for name, value in vars(args).items() if name != "command"})
-    config.validate()
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     return config
 

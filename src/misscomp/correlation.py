@@ -197,12 +197,15 @@ def tetrachoric(ind: IndicatorMatrix) -> CorrelationMatrix:
 def correlate(ind: IndicatorMatrix, kind: str) -> CorrelationMatrix:
     """The indicators' correlation of the given kind, repaired to positive definite.
 
-    This is the matrix both ``analyze`` and ``simulate`` extract from. Fewer
-    than 2 indicator columns raise ValueError.
+    This is the matrix both ``analyze`` and ``simulate`` extract from. An
+    unknown kind and fewer than 2 indicator columns raise ValueError.
     """
+    estimators = {PEARSON: pearson, TETRACHORIC: tetrachoric}
+    if kind not in estimators:
+        raise ValueError(f"unknown correlation kind {kind!r}; expected {PEARSON!r} or {TETRACHORIC!r}")
     if ind.k < 2:
         raise ValueError(f"only {ind.k} indicator column(s); need at least 2 to correlate")
-    return repair_pd({PEARSON: pearson, TETRACHORIC: tetrachoric}[kind](ind))
+    return repair_pd(estimators[kind](ind))
 
 
 def repair_pd(c: CorrelationMatrix) -> CorrelationMatrix:

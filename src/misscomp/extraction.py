@@ -28,7 +28,6 @@ class EigenSolution:
     iterations: int = 0
     communalities: np.ndarray | None = None
     heywood: bool = False
-    smc_fallback: bool = False
 
 
 @dataclass
@@ -64,22 +63,23 @@ def pca(c: CorrelationMatrix) -> EigenSolution:
     return EigenSolution(w, loadings, v, PCA)
 
 
-def smc(values: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Squared multiple correlations from a correlation matrix.
+def smc(values: np.ndarray) -> np.ndarray:
+    """Squared multiple correlations, 1 − 1/(R⁻¹)ᵢᵢ, of a nonsingular correlation matrix R.
 
-    Falls back to the largest absolute off-diagonal per row when the matrix
-    cannot be inverted; the flag reports which route was taken.
+    A singular R, or one whose inverse has a diagonal entry that is not
+    positive and finite, raises ValueError; every ``correlation.correlate``
+    result passes, as ``correlation.repair_pd`` made it positive definite.
     """
-    k = values.shape[0]
-    try:
-        inv = np.linalg.inv(values)
-        diag = np.diag(inv)
-        if (diag <= 0).any() or not np.isfinite(diag).all():
-            raise np.linalg.LinAlgError
-        return 1.0 - 1.0 / diag, False
-    except np.linalg.LinAlgError:
-        off = np.abs(values - np.eye(k))
-        return off.max(axis=1), True
+    diag = np.diag(np.linalg.inv(values))
+    if not (np.isfinite(diag) & (diag > 0)).all():
+        raise ValueError("squared multiple correlations need a nonsingular matrix; see correlation.repair_pd")
+    return 1.0 - 1.0 / diag
+
+
+def _with_diagonal(values: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    reduced = values.copy()
+    np.fill_diagonal(reduced, diagonal)
+    return reduced
 
 
 def spectrum(c: CorrelationMatrix, method: str) -> np.ndarray:
@@ -87,14 +87,16 @@ def spectrum(c: CorrelationMatrix, method: str) -> np.ndarray:
 
     Under PCA these are the correlation matrix's own. Under PAF the diagonal
     holds squared multiple correlations instead, which gives the
-    common-variance spectrum without needing a factor count.
+    common-variance spectrum without needing a factor count. Any other
+    method raises ValueError.
     """
     if method == PCA:
-        return pca(c).eigenvalues
-    h, _ = smc(c.values)
-    reduced = c.values.copy()
-    np.fill_diagonal(reduced, h)
-    return _sorted_eigh(reduced)[0]
+        m = c.values
+    elif method == PAF:
+        m = _with_diagonal(c.values, smc(c.values))
+    else:
+        raise ValueError(f"unknown extraction method {method!r}; expected {PCA!r} or {PAF!r}")
+    return _sorted_eigh(m)[0]
 
 
 def paf(c: CorrelationMatrix, q: int) -> EigenSolution:
@@ -104,20 +106,18 @@ def paf(c: CorrelationMatrix, q: int) -> EigenSolution:
     iterates q-factor eigendecompositions until the largest communality
     change drops below 1e-6 or 1000 iterations pass. Communalities above 1
     are clamped (Heywood case) and flagged; non-convergence is reported in
-    the result, not raised.
+    the result, not raised. A matrix ``smc`` rejects raises ValueError.
     """
     k = c.values.shape[0]
     if not 1 <= q <= k:
         raise ValueError(f"q must be in 1..{k}, got {q}")
-    h, fallback = smc(c.values)
+    h = smc(c.values)
     heywood = False
     converged = False
     iterations = 0
     w = loadings = vectors = None
     for iterations in range(1, PAF_MAX_ITER + 1):
-        reduced = c.values.copy()
-        np.fill_diagonal(reduced, h)
-        w, v = _sorted_eigh(reduced)
+        w, v = _sorted_eigh(_with_diagonal(c.values, h))
         vectors = v[:, :q]
         loadings = vectors * np.sqrt(np.maximum(w[:q], 0.0))
         h_new = (loadings**2).sum(axis=1)
@@ -138,7 +138,6 @@ def paf(c: CorrelationMatrix, q: int) -> EigenSolution:
         iterations=iterations,
         communalities=h,
         heywood=heywood,
-        smc_fallback=fallback,
     )
 
 

@@ -55,8 +55,11 @@ def _delimiter_error(delimiter) -> str | None:
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked when made: a bad value raises ValueError,
+    also from ``dataclasses.replace``."""
+
     input_path: str | Path
     output_dir: str | Path = "."
     delimiter: str = ","
@@ -76,7 +79,7 @@ class RunConfig:
     drop_fully_missing_pattern: bool = False
     output_formats: tuple[str, ...] = ("csv", "json")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("missing_sentinels", "columns", "covariate_columns", "output_formats"):
             value = getattr(self, name)
             if isinstance(value, str):  # it would be read one character at a time
@@ -288,12 +291,9 @@ def ingest(
 def tabulate(config: RunConfig) -> tuple[Dataset, IndicatorMatrix, PatternTable]:
     """Step 1: ingest the input, build its indicators and tabulate patterns.
 
-    A configuration that fails ``RunConfig.validate`` raises ValueError
-    before the input is read, an unreadable input raises IngestError, and
-    a column selection that does not fit the data raises
-    PipelineError("step1-indicators").
+    An unreadable input raises IngestError, and a column selection that
+    does not fit the data raises PipelineError("step1-indicators").
     """
-    config.validate()
     data = ingest(config.input_path, tuple(config.missing_sentinels), config.delimiter)
     try:
         ind = build_indicators(data, config.columns)
@@ -337,14 +337,13 @@ def _screening_dataset(data: Dataset, ind: IndicatorMatrix) -> Dataset:
 def analyze(config: RunConfig) -> AnalysisResult:
     """Run the full pipeline per the configuration.
 
-    A configuration that fails ``RunConfig.validate`` raises ValueError
-    before the input is read. Past that, failures raise PipelineError with
-    the failing step's label; covariate and strata names, that no covariate
-    is named twice, that no indicator takes a data column's name, the
-    covariates' numeric kind and the strata column's 2 levels among the rows
-    not missing on every indicator are checked against the data right after
-    step 1. A retention outcome of zero components is not an error, the
-    remaining steps are skipped with that reason.
+    Failures raise PipelineError with the failing step's label; covariate
+    and strata names, that no covariate is named twice, that no indicator
+    takes a data column's name, the covariates' numeric kind and the strata
+    column's 2 levels among the rows not missing on every indicator are
+    checked against the data right after step 1. A retention outcome of
+    zero components is not an error, the remaining steps are skipped with
+    that reason.
     """
     steps: list[dict] = []
     notes: list[str] = []

@@ -296,7 +296,6 @@ def solution_summary(sol: EigenSolution) -> dict:
     if sol.method == "paf":
         out.update(
             heywood=sol.heywood,
-            smc_fallback=sol.smc_fallback,
             communalities=[round(float(h), 10) for h in sol.communalities],
         )
     return out

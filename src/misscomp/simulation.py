@@ -13,6 +13,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtri
@@ -188,10 +189,6 @@ def run_condition(cond: SimCondition, reps: int, seed: int) -> CellResult:
     return CellResult(cond, reps, dict.fromkeys(CRITERIA, decided), correct)
 
 
-def _run_cell(args: tuple[SimCondition, int, int]) -> CellResult:
-    return run_condition(*args)
-
-
 def run_grid(conditions: list[SimCondition], reps: int, seed: int, workers: int = 1) -> SimReport:
     """Run a list of conditions, optionally across worker processes.
 
@@ -202,13 +199,12 @@ def run_grid(conditions: list[SimCondition], reps: int, seed: int, workers: int 
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    args = [(cond, reps, seed) for cond in conditions]
     workers = min(workers, len(conditions))
     if workers <= 1:
-        cells = [_run_cell(a) for a in args]
+        cells = [run_condition(cond, reps, seed) for cond in conditions]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, args))
+            cells = list(pool.map(run_condition, conditions, repeat(reps), repeat(seed)))
     return SimReport(cells=cells, reps=reps, seed=seed)
 
 

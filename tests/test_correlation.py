@@ -14,6 +14,7 @@ from misscomp.correlation import (
     CorrelationMatrix,
     EstimationError,
     bvn_upper,
+    correlate,
     pearson,
     repair_pd,
     tetrachoric,
@@ -295,6 +296,13 @@ class TestTetrachoric:
         weak = tetrachoric_from_table(np.array([[30, 20], [20, 30]]))
         strong = tetrachoric_from_table(np.array([[45, 5], [5, 45]]))
         assert strong > weak > 0
+
+
+class TestCorrelate:
+    def test_unknown_kind_is_rejected(self):
+        ind = indicator_matrix([[0, 1], [1, 0], [1, 1], [0, 0]])
+        with pytest.raises(ValueError, match="'spearman'.*'pearson' or 'tetrachoric'"):
+            correlate(ind, "spearman")
 
 
 class TestRepairPd:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misscomp import extraction
-from misscomp.correlation import PEARSON, CorrelationMatrix, pearson
+from misscomp.correlation import PEARSON, TETRACHORIC, CorrelationMatrix, correlate, pearson
 from misscomp.extraction import (
     PAF,
     PCA,
@@ -73,17 +73,39 @@ class TestPca:
 class TestSmc:
     def test_matches_inverse_formula(self):
         values = equicorrelation(4, 0.5).values
-        h, fallback = smc(values)
+        h = smc(values)
         expect = 1.0 - 1.0 / np.diag(np.linalg.inv(values))
         np.testing.assert_allclose(h, expect, atol=1e-12)
-        assert not fallback
 
-    def test_singular_matrix_falls_back(self):
-        # rank-1 correlation matrix cannot be inverted
-        v = np.ones((3, 3))
-        h, fallback = smc(v)
-        assert fallback
-        np.testing.assert_allclose(h, 1.0)  # max |off-diagonal| per row
+    def test_singular_or_indefinite_matrix_is_rejected(self):
+        # a rank-1 matrix cannot be inverted
+        with pytest.raises(ValueError):
+            smc(np.ones((3, 3)))
+        # the inverse of this indefinite matrix has a negative diagonal entry
+        indefinite = np.array([[1.0, 0.99, 0.3], [0.99, 1.0, -0.3], [0.3, -0.3, 1.0]])
+        with pytest.raises(ValueError, match="correlation.repair_pd"):
+            smc(indefinite)
+        with pytest.raises(ValueError, match="correlation.repair_pd"):
+            spectrum(corr(indefinite), PAF)
+        with pytest.raises(ValueError, match="correlation.repair_pd"):
+            paf(corr(indefinite), q=1)
+
+    @pytest.mark.parametrize("kind", [PEARSON, TETRACHORIC])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_correlated_matrix_has_smcs(self, kind, seed):
+        # a duplicated and a complementary column make the Pearson matrix
+        # singular until correlate repairs it; smc needs no other route
+        rng = np.random.default_rng(seed)
+        n, k = rng.integers(40, 200), rng.integers(1, 6)
+        values = (rng.random((n, k)) < rng.uniform(0.05, 0.6, size=k)).astype(np.uint8)
+        values[0], values[1] = 0, 1
+        values = np.column_stack([values, values[:, 0], 1 - values[:, 0]])
+        c = correlate(indicator_matrix(values), kind)
+        if kind == PEARSON:
+            assert c.pd_repaired
+        h = smc(c.values)
+        assert h.shape == (k + 2,)
+        assert np.all((h >= 0.0) & (h < 1.0))
 
 
 class TestPaf:
@@ -113,17 +135,20 @@ class TestPaf:
             paf(equicorrelation(3, 0.3), q=4)
 
     def test_heywood_flagged_and_clamped(self):
-        # near-collinear pair with conflicting thirds drives communalities past 1
+        # positive definite (minimum eigenvalue 0.019), yet item 1's
+        # communality is driven past 1 at either factor count
         values = np.array(
             [
-                [1.0, 0.99, 0.3],
-                [0.99, 1.0, -0.3],
-                [0.3, -0.3, 1.0],
+                [1.0, 0.67, 0.21, 0.58],
+                [0.67, 1.0, -0.55, 0.08],
+                [0.21, -0.55, 1.0, 0.46],
+                [0.58, 0.08, 0.46, 1.0],
             ]
         )
-        sol = paf(corr(values), q=2)
-        assert sol.heywood
-        assert np.all(sol.communalities <= 1.0 + 1e-12)
+        for q in (1, 2):
+            sol = paf(corr(values), q=q)
+            assert sol.heywood and sol.converged
+            assert np.all(sol.communalities <= 1.0 + 1e-12)
 
     def test_iterations_reported(self):
         sol = paf(equicorrelation(5, 0.3), q=1)
@@ -139,6 +164,10 @@ class TestReducedSpectrum:
         # SMC diagonal < 1 shrinks the trace
         assert reduced.sum() < full.sum()
         assert np.all(np.diff(reduced) <= 1e-12)
+
+    def test_unknown_method_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown extraction method 'foo'"):
+            spectrum(equicorrelation(3, 0.3), "foo")
 
     def test_pca_spectrum_is_pca_eigenvalues(self):
         c = corr([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])

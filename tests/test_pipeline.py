@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +358,7 @@ def stop_at_step2(monkeypatch):
 
 class TestRunConfig:
     def test_defaults_validate(self, synthetic_csv):
-        RunConfig(input_path=synthetic_csv).validate()
+        RunConfig(input_path=synthetic_csv)
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -393,13 +393,20 @@ class TestRunConfig:
     )
     def test_rejects_bad_values(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            RunConfig(input_path="x.csv", **kwargs).validate()
+            RunConfig(input_path="x.csv", **kwargs)
 
     @pytest.mark.parametrize("name", ["missing_sentinels", "columns", "covariate_columns", "output_formats"])
     def test_rejects_a_bare_string_for_a_sequence(self, name):
         # read one character at a time, "NA" would make the sentinels N and A
         with pytest.raises(ValueError, match=f"{name} must be a sequence of strings"):
-            RunConfig(input_path="x.csv", **{name: "NA"}).validate()
+            RunConfig(input_path="x.csv", **{name: "NA"})
+
+    def test_replace_checks_the_new_values(self):
+        config = RunConfig(input_path="x.csv")
+        with pytest.raises(ValueError, match="pa_reps"):
+            replace(config, pa_reps=0)
+        with pytest.raises(FrozenInstanceError):
+            config.pa_reps = 0
 
     def test_bare_string_sentinels_fail_before_ingest(self, tmp_path):
         rows = [["1", "x", "NA"], ["", "y", "2"], ["3", "", "4"], ["5", "N", ""]]

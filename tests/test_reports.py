@@ -506,7 +506,6 @@ class TestSolutionSummary:
         )
         out = reports.solution_summary(sol)
         assert out["heywood"] is True
-        assert out["smc_fallback"] is False
         assert out["communalities"] == [0.49, 0.36]
         assert out["converged"] is False
 

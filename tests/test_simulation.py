@@ -240,8 +240,8 @@ class TestRunGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                return map(fn, args)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
         conds = [SimCondition(1, 3, 100, 0.25), SimCondition(1, 3, 250, 0.25)]
