@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__, reports, retention, simulation
 from .correlation import PEARSON, TETRACHORIC
 from .extraction import PAF, PCA
-from .pipeline import IngestError, PipelineError, RunConfig, analyze, write_bundle, write_patterns
+from .pipeline import PipelineError, RunConfig, analyze, write_bundle, write_patterns
 
 
 def _csv_tuple(text: str) -> tuple[str, ...]:
@@ -151,21 +151,21 @@ def _parse_cells(args) -> list[simulation.SimCondition]:
     if args.full:
         return simulation.full_grid(args.corr, args.method)
     if not args.cell:
-        raise PipelineError("simulate", "pass --full or at least one --cell CxI")
+        raise ValueError("pass --full or at least one --cell CxI")
     structures = []
     for token in args.cell.split(","):
         parts = token.lower().split("x")
         if len(parts) != 2:
-            raise PipelineError("simulate", f"bad --cell value {token!r}; expected CxI like 3x5")
+            raise ValueError(f"bad --cell value {token!r}; expected CxI like 3x5")
         try:
             structures.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise PipelineError("simulate", f"bad --cell value {token!r}; expected integers") from None
+            raise ValueError(f"bad --cell value {token!r}; expected integers") from None
     try:
         ns = [int(v) for v in args.n.split(",")]
         pmisses = [float(v) for v in args.pmiss.split(",")]
     except ValueError:
-        raise PipelineError("simulate", "--n takes integers and --pmiss takes floats") from None
+        raise ValueError("--n takes integers and --pmiss takes floats") from None
     return [
         simulation.SimCondition(c, i, n, p, args.corr, args.method)
         for c, i in structures
@@ -225,14 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as exc:
         print(f"error [{exc.step}]: {exc}", file=sys.stderr)
         return 1
-    except IngestError as exc:
-        print(f"error [ingest]: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"error [{args.command}]: {msg}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an output path that cannot be written
+    except (ValueError, KeyError, OSError) as exc:  # a bad setting or an unwritable output path
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ RHO_TOL = 1e-12
 MAX_ITERATIONS = 200
 
 
-class EstimationError(RuntimeError):
+class EstimationError(ValueError):
     """A pairwise tetrachoric estimate could not be computed."""
 
     def __init__(self, pair: tuple[int, int], message: str):

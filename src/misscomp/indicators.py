@@ -24,6 +24,9 @@ SCRATCH_ENTRIES = 1 << 17
 class ColumnNotFoundError(KeyError):
     """A requested column name is not in the dataset."""
 
+    def __str__(self) -> str:  # KeyError's own str() is the quoted key
+        return f"column {self.args[0]!r} not in dataset"
+
 
 class EmptyIndicatorError(ValueError):
     """No selected column has any missingness variance to analyze."""

@@ -291,15 +291,14 @@ def ingest(
 def tabulate(config: RunConfig) -> tuple[Dataset, IndicatorMatrix, PatternTable]:
     """Step 1: ingest the input, build its indicators and tabulate patterns.
 
-    An unreadable input raises IngestError, and a column selection that
-    does not fit the data raises PipelineError("step1-indicators").
+    An unreadable or ragged input, and a column selection that does not fit
+    the data, raise PipelineError("step1-indicators").
     """
-    data = ingest(config.input_path, tuple(config.missing_sentinels), config.delimiter)
     try:
+        data = ingest(config.input_path, tuple(config.missing_sentinels), config.delimiter)
         ind = build_indicators(data, config.columns)
     except (KeyError, ValueError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        raise PipelineError("step1-indicators", str(msg)) from exc
+        raise PipelineError("step1-indicators", str(exc)) from exc
     return data, ind, tabulate_patterns(ind, drop_fully_missing=config.drop_fully_missing_pattern)
 
 
@@ -337,13 +336,13 @@ def _screening_dataset(data: Dataset, ind: IndicatorMatrix) -> Dataset:
 def analyze(config: RunConfig) -> AnalysisResult:
     """Run the full pipeline per the configuration.
 
-    Failures raise PipelineError with the failing step's label; covariate
-    and strata names, that no covariate is named twice, that no indicator
-    takes a data column's name, the covariates' numeric kind and the strata
-    column's 2 levels among the rows not missing on every indicator are
-    checked against the data right after step 1. A retention outcome of
-    zero components is not an error, the remaining steps are skipped with
-    that reason.
+    Failures raise PipelineError with the failing step's label, an
+    unreadable input step 1's; covariate and strata names, that no
+    covariate is named twice, that no indicator takes a data column's name,
+    the covariates' numeric kind and the strata column's 2 levels among the
+    rows not missing on every indicator are checked against the data right
+    after step 1. A retention outcome of zero components is not an error,
+    the remaining steps are skipped with that reason.
     """
     steps: list[dict] = []
     notes: list[str] = []
@@ -360,10 +359,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
         notes.append("seed was not supplied; one was generated and recorded")
 
     # step 1: indicators and pattern tabulation
-    try:
-        data, ind, patterns = tabulate(config)
-    except IngestError as exc:
-        raise PipelineError("step1-indicators", str(exc)) from exc
+    data, ind, patterns = tabulate(config)
     done("step1-indicators", f"{ind.k} indicator columns, {patterns.n_observed_patterns} patterns")
     # the screens read the data columns and the indicators from one Dataset
     for name in ind.column_names:
@@ -394,7 +390,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     # step 2: correlation of indicators (repair to positive definite if needed)
     try:
         corr = correlation.correlate(ind, config.correlation_kind)
-    except (correlation.EstimationError, ValueError) as exc:
+    except ValueError as exc:
         raise PipelineError("step2-correlation", str(exc)) from exc
     done(
         "step2-correlation",

@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .extraction import ComponentScores, EigenSolution
+from .extraction import PAF, ComponentScores, EigenSolution
 from .indicators import PatternTable
 from .mechanism import LogisticFit, ScreenResult
 from .retention import CRITERIA, RetentionDecision
@@ -293,7 +293,7 @@ def solution_summary(sol: EigenSolution) -> dict:
         "iterations": sol.iterations,
         "eigenvalues": [round(float(v), 10) for v in sol.eigenvalues],
     }
-    if sol.method == "paf":
+    if sol.method == PAF:
         out.update(
             heywood=sol.heywood,
             communalities=[round(float(h), 10) for h in sol.communalities],

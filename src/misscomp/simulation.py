@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import correlation, extraction, retention
-from .correlation import PEARSON, TETRACHORIC, EstimationError
+from .correlation import PEARSON, TETRACHORIC
 from .extraction import PAF, PCA
 from .indicators import IndicatorMatrix, from_mask
 from .retention import CRITERIA
@@ -47,10 +47,13 @@ class SimCondition:
     method: str = PCA
 
     def __post_init__(self):
-        if self.n_components < 1 or self.items_per_component < 1 or self.n < 2:
-            raise ValueError("condition sizes must be positive")
+        sizes = f"{self.n_components}x{self.items_per_component}"
+        if self.n_components < 1 or self.items_per_component < 1:
+            raise ValueError(f"components and items must be at least 1, got {sizes}")
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
         if self.k < 2:  # a correlation needs 2 items, so every replication would be blanked
-            raise ValueError(f"a condition needs at least 2 items, got {self.n_components}x{self.items_per_component}")
+            raise ValueError(f"a condition needs at least 2 items, got {sizes}")
         if not 0.0 < self.p_miss < 1.0:
             raise ValueError("p_miss must be in (0, 1)")
         if self.corr_kind not in _CORR_CODE:
@@ -157,7 +160,7 @@ def _replication_decisions(
         return None
     try:
         corr = correlation.correlate(ind, cond.corr_kind)
-    except (EstimationError, ValueError):
+    except ValueError:
         return None
     return retention.decide(ind, extraction.spectrum(corr, cond.method), pa_seed)
 

@@ -285,6 +285,10 @@ class TestTetrachoric:
         assert tetrachoric_from_table(np.array([[50, 0], [0, 50]])) == RHO_BOUND
         assert tetrachoric_from_table(np.array([[0, 50], [50, 0]])) == -RHO_BOUND
 
+    def test_estimation_error_is_a_value_error(self):
+        with pytest.raises(ValueError, match="invalid 2x2 table"):
+            tetrachoric_from_table([[-1, 2], [3, 4]])
+
     def test_estimation_error_names_pair(self):
         with pytest.raises(EstimationError, match=r"pair \(2, 5\): invalid") as err:
             tetrachoric_from_table(np.array([[-1, 2], [3, 4]]), (2, 5))

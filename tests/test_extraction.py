@@ -287,6 +287,12 @@ class TestScores:
         np.testing.assert_array_equal(sc.dichotomized, sc.scores > 0.0)
 
 
+@pytest.mark.parametrize("q", [0, 4])
+def test_oriented_weights_rejects_q_out_of_range(q):
+    with pytest.raises(ValueError, match=f"^q must be in 1..3, got {q}$"):
+        oriented_weights(pca(equicorrelation(3, 0.5)), q)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=2**32 - 1))
 def test_pca_spectrum_properties(k, seed):

@@ -143,6 +143,18 @@ class TestBuildIndicators:
         with pytest.raises(ColumnNotFoundError):
             build_indicators(small_dataset, selected_columns=["y1", "ghost"])
 
+    @pytest.mark.parametrize(
+        "selected, error, message",
+        [
+            ([], ValueError, "selected_columns must be nonempty"),
+            (["y1", "ghost"], ColumnNotFoundError, "column 'ghost' not in dataset"),
+        ],
+        ids=["empty", "unknown"],
+    )
+    def test_bad_selection_is_explained(self, small_dataset, selected, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build_indicators(small_dataset, selected_columns=selected)
+
     def test_subset_repeated_name_raises(self, small_dataset):
         # a repeated name would give two identical indicator columns
         with pytest.raises(ValueError, match=r"^column 'y1' is selected more than once$"):

@@ -978,6 +978,34 @@ class TestNumericValues:
             numeric_values(data, "g")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: roc_auc(np.array([0.1, 0.2]), np.array([0, 1, 1])),
+            "scores and labels must be 1-d and aligned",
+            id="auc-shape",
+        ),
+        pytest.param(
+            lambda: fit_logistic(np.array([0, 1, 1]), np.array([[1.0], [2.0]])),
+            "y and x must have the same number of rows",
+            id="rows",
+        ),
+        pytest.param(
+            lambda: fit_logistic(np.array([0, 1]), np.array([[np.nan], [1.0]])), "predictors must be finite", id="nan"
+        ),
+        pytest.param(
+            lambda: fit_logistic(np.array([0, 1, 0, 1]), np.array([[1.0], [2.0], [3.0], [4.0]]), ["a", "b"]),
+            "predictor_names must match predictor columns",
+            id="names",
+        ),
+    ],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_auc_complement_symmetry(seed):

@@ -33,6 +33,8 @@ from misscomp.pipeline import (
     ingest,
     write_bundle,
 )
+from misscomp.correlation import TETRACHORIC
+from misscomp.extraction import PAF
 from misscomp.mechanism import fit_logistic
 from misscomp.retention import CRITERIA
 
@@ -907,7 +909,28 @@ class TestCli:
     def test_patterns_missing_input(self, tmp_path, capsys):
         rc = cli.main(["patterns", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error [ingest]:")
+        assert capsys.readouterr().err.startswith("error [step1-indicators]:")
+
+    @pytest.mark.parametrize(
+        "text, columns, reason",
+        [
+            pytest.param(None, [], r"cannot read .*in\.csv: .*", id="missing-file"),
+            pytest.param("a,b\n1,2\n3\n", [], r".*in\.csv: row 3 has 1 cells, header has 2", id="ragged-row"),
+            pytest.param(
+                "a,b\n1,\n,2\n3,4\n", ["--columns", "nope"], "column 'nope' not in dataset", id="unknown-column"
+            ),
+        ],
+    )
+    def test_step1_failures_read_alike_from_patterns_and_analyze(self, tmp_path, capsys, text, columns, reason):
+        path = tmp_path / "in.csv"
+        if text is not None:
+            path.write_text(text)
+        errors = []
+        for command in ("patterns", "analyze"):
+            assert cli.main([command, "--input", str(path), "--out", str(tmp_path / command), *columns]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert re.fullmatch(rf"error \[step1-indicators\]: {reason}\n", errors[0])
 
     def test_simulate_needs_cells(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--out", str(tmp_path)])
@@ -918,6 +941,27 @@ class TestCli:
         rc = cli.main(["simulate", "--cell", "3by5", "--out", str(tmp_path)])
         assert rc == 1
         assert "--cell" in capsys.readouterr().err
+
+    def test_simulate_full_takes_the_kind_and_method(self):
+        args = cli.build_parser().parse_args(["simulate", "--full", "--corr", TETRACHORIC, "--method", PAF])
+        cells = cli._parse_cells(args)
+        assert len(cells) == 108
+        assert all(c.corr_kind == TETRACHORIC and c.method == PAF for c in cells)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--cell", "3xA"], "bad --cell value '3xA'; expected integers"),
+            (["--cell", "3x3", "--n", "1.5"], "--n takes integers and --pmiss takes floats"),
+        ],
+    )
+    def test_simulate_rejects_a_bad_number(self, tmp_path, capsys, args, message):
+        assert cli.main(["simulate", *args, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error [simulate]: {message}\n"
+
+    def test_simulate_names_a_sample_size_below_2(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--cell", "3x3", "--n", "1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error [simulate]: n must be at least 2, got 1\n"
 
     def test_simulate_rejects_a_single_item_cell(self, tmp_path, capsys):
         args = ["--cell", "1x1", "--n", "100", "--pmiss", "0.25", "--reps", "3", "--out", str(tmp_path)]

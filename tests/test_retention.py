@@ -479,6 +479,35 @@ class TestGuidance:
         assert guidance(n, ipc, comps) in CRITERIA
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: kaiser(np.array([])), "eigenvalues must be a nonempty 1-d array", id="empty"),
+        pytest.param(lambda: kaiser(np.array([2.0, np.nan])), "eigenvalues must be finite", id="nan"),
+        pytest.param(lambda: ekc(np.array([2.0, 1.0]), n=100, k=3), "expected 3 eigenvalues, got 2", id="ekc-length"),
+        pytest.param(lambda: ekc(np.array([1.0]), n=0, k=1), "n and k must be positive", id="ekc-n"),
+        pytest.param(
+            lambda: parallel_analysis(indicator_matrix([[0, 1], [1, 0], [1, 1]]), np.array([1.0])),
+            "expected 2 eigenvalues, got 1",
+            id="pa-length",
+        ),
+        pytest.param(
+            lambda: parallel_analysis(indicator_matrix([[0, 1], [1, 0], [1, 1]]), np.array([1.5, 0.5]), reps=0),
+            "reps must be positive",
+            id="pa-reps",
+        ),
+        pytest.param(
+            lambda: parallel_analysis(indicator_matrix([[0, 1], [1, 0], [1, 1]]), np.array([1.5, 0.5]), percentile=1.0),
+            r"percentile must be in \(0, 1\)",
+            id="pa-percentile",
+        ),
+    ],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_decision_fields():
     d = kaiser(np.array([2.0, 0.5]))
     assert isinstance(d, RetentionDecision)

@@ -40,6 +40,13 @@ class TestCondition:
         with pytest.raises(ValueError):
             SimCondition(1, 3, 100, 0.25, corr_kind="spearman")
 
+    def test_sizes_are_named(self):
+        with pytest.raises(ValueError, match=r"^components and items must be at least 1, got 0x3$"):
+            SimCondition(0, 3, 100, 0.25)
+        with pytest.raises(ValueError, match=r"^n must be at least 2, got 1$"):
+            SimCondition(3, 3, 1, 0.25)
+        assert SimCondition(3, 3, 2, 0.25).n == 2
+
     def test_single_item_rejected(self):
         with pytest.raises(ValueError, match=r"^a condition needs at least 2 items, got 1x1$"):
             SimCondition(1, 1, 100, 0.25)
@@ -287,6 +294,24 @@ class TestRunGrid:
     def test_full_grid_other_pipelines(self):
         grid = full_grid(TETRACHORIC, PAF)
         assert all(c.corr_kind == TETRACHORIC and c.method == PAF for c in grid)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: SimCondition(1, 3, 100, 0.25, method="ml"), "unknown method 'ml'", id="method"),
+        pytest.param(lambda: run_condition(SimCondition(1, 3, 100, 0.25), 0, 0), "reps must be positive", id="reps"),
+        pytest.param(
+            lambda: run_condition(SimCondition(1, 3, 100, 0.25), 1, -1), "seed must be nonnegative", id="seed"
+        ),
+        pytest.param(
+            lambda: run_grid([SimCondition(1, 3, 100, 0.25)], 1, 0, workers=0), "workers must be positive", id="workers"
+        ),
+    ],
+)
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_threshold_from_normal_quantile():
