@@ -90,6 +90,41 @@ def _chi_square(table: np.ndarray) -> tuple[float, float, float]:
     return stat, df, _chi2_sf(stat, df)
 
 
+def _too_few(n0: int, n1: int) -> str:
+    """Why a screen with ``n0`` and ``n1`` observed values in its groups is
+    not testable, or "" when it is."""
+    return f"fewer than 2 observed values in a group (n0={n0}, n1={n1})" if n0 < 2 or n1 < 2 else ""
+
+
+def _table_screen(name: str, table: np.ndarray, n_excluded: int = 0) -> ScreenResult:
+    """The chi-square screen of ``name`` from its level-by-flag count table."""
+    n0, n1 = table.sum(axis=0).tolist()
+    stat = df = p = np.nan
+    reason = _too_few(n0, n1)
+    if not reason:
+        stat, df, p = _chi_square(table)
+        if np.isnan(stat):
+            reason = "contingency table has a single populated row or column"
+    return ScreenResult(name, CHI_SQUARE, stat, df, p, not reason, reason, n0, n1, n_excluded)
+
+
+def indicator_tables(x: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """The (k, 4) 2×2 tables of the k columns of 0/1 ``x`` against the 0/1
+    ``flag``, one row per column as ``fit_table`` reads it: a = (x=1, y=1),
+    b = (1, 0), c = (0, 1) and d = (0, 0), exact integer column sums."""
+    n_ones = x.sum(axis=0, dtype=np.int64)
+    both = x[flag == 1].sum(axis=0, dtype=np.int64)
+    n_high = np.count_nonzero(flag)
+    return np.column_stack([both, n_ones - both, n_high - both, len(flag) - n_ones - n_high + both])
+
+
+def screen_tables(tables: np.ndarray, names: list[str]) -> list[ScreenResult]:
+    """The chi-square screens of 0/1 indicators from their ``indicator_tables``:
+    each is ``screen``'s on the indicator as a categorical column with
+    levels "0" and "1", which is never missing."""
+    return [_table_screen(name, np.array([[d, c], [b, a]])) for name, (a, b, c, d) in zip(names, tables)]
+
+
 def _binary(values, what: str) -> np.ndarray:
     """``values`` as ints, once every one of them is checked to be 0 or 1."""
     values = np.asarray(values)
@@ -136,29 +171,19 @@ def screen(
     groups = [index.take(np.flatnonzero(flag == g)) for g in (0, 1)]
     results = []
     for name in variables:
-        kind = data.kind(name)
-        if kind == NUMERIC:
-            col = data.column(name)
-            v0, v1 = (v.take(np.flatnonzero(~np.isnan(v))) for v in (col.take(g) for g in groups))
-            n0, n1 = len(v0), len(v1)
-        else:
+        if data.kind(name) != NUMERIC:
             codes, levels = data.codes(name)
             # levels by flag; cast before the shift, as int8 code 127 + 1 overflows
             counts = [np.bincount(codes.take(g).astype(np.intp) + 1, minlength=len(levels) + 1)[1:] for g in groups]
             table = np.column_stack(counts)
-            n0, n1 = table.sum(axis=0).tolist()
-        stat = df = p = np.nan
-        reason = ""
-        if n0 < 2 or n1 < 2:
-            reason = f"fewer than 2 observed values in a group (n0={n0}, n1={n1})"
-        elif kind == NUMERIC:
-            stat, df, p = _welch(v1, v0)
-        else:
-            stat, df, p = _chi_square(table)
-            if np.isnan(stat):
-                reason = "contingency table has a single populated row or column"
-        test = WELCH_T if kind == NUMERIC else CHI_SQUARE
-        results.append(ScreenResult(name, test, stat, df, p, not reason, reason, n0, n1, len(index) - n0 - n1))
+            results.append(_table_screen(name, table, len(index) - int(table.sum())))
+            continue
+        col = data.column(name)
+        v0, v1 = (v.take(np.flatnonzero(~np.isnan(v))) for v in (col.take(g) for g in groups))
+        n0, n1 = len(v0), len(v1)
+        reason = _too_few(n0, n1)
+        stat, df, p = (np.nan,) * 3 if reason else _welch(v1, v0)
+        results.append(ScreenResult(name, WELCH_T, stat, df, p, not reason, reason, n0, n1, len(index) - n0 - n1))
     return results
 
 
@@ -460,10 +485,13 @@ def stratified_rerun(
 ) -> list[StratumResult]:
     """Repeat screens and logistic fits inside each stratum level.
 
-    ``design`` holds the predictors of the stratum fit, one row per row of
-    ``data`` and one column per name in ``design_names``, in any real dtype
-    (``analyze`` passes the uint8 indicators); each stratum fits a copy of
-    its own rows of it, and no fit runs when ``design_names`` is empty.
+    ``design`` holds the 0/1 predictors of the stratum fit, one row per
+    flag row and one column per name in ``design_names``, in any real dtype
+    (``analyze`` passes the uint8 indicators). Each stratum screens
+    ``variables`` from ``data``, then each design column from its 2×2 table
+    against the flag over the stratum's rows (see ``screen_tables``), and
+    fits a copy of its own rows of the design; no design column is screened
+    or fitted when ``design_names`` is empty.
     ``start`` goes to every stratum fit (see ``fit_logistic``): a direction
     that separates the flag on all rows separates it on each stratum's
     rows, so those fits stop at iteration 1 unless an aliased column (never
@@ -478,6 +506,12 @@ def stratified_rerun(
     index = _rows(rows, data.n)
     if flag.shape != index.shape:
         raise ValueError("component_flag must align with dataset rows")
+    design = np.asarray(design)
+    if design.ndim != 2 or len(design) != len(flag):
+        raise ValueError(f"design has shape {design.shape}; it needs one row per component_flag row, {len(flag)}")
+    # checked a chunk at a time, so no n×k temporary is made
+    if not all(np.isin(c, (0, 1)).all() for _, c in row_chunks(design)):
+        raise ValueError("design must be binary")
     codes, names, seen = strata_levels(data, strata, index)
     out = []
     for code in seen:
@@ -488,8 +522,10 @@ def stratified_rerun(
         if sub_flag.min() == sub_flag.max():
             out.append(StratumResult(level, False, "component flag has a single class", n, [], None))
             continue
+        x = design[members]
         stratum_screens = screen(data, sub_flag, variables, index[members])
-        fit = fit_logistic(sub_flag, design[members], design_names, start=start) if design_names else None
+        stratum_screens += screen_tables(indicator_tables(x, sub_flag), design_names)
+        fit = fit_logistic(sub_flag, x, design_names, start=start) if design_names else None
         out.append(StratumResult(level, True, "", n, stratum_screens, fit))
     return out
 

@@ -10,6 +10,7 @@ failed.
 from __future__ import annotations
 
 import csv
+import numbers
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -84,6 +85,20 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, str):  # it would be read one character at a time
                 raise ValueError(f"{name} must be a sequence of strings, not the string {value!r}")
+        lowest = {"pa_reps": 1, "seed": 0, "items_per_component_hint": 1, "expected_components_hint": 1}
+        for name, least in lowest.items():
+            value = getattr(self, name)
+            if value is None and name != "pa_reps":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, int(value))  # manifest.json cannot hold a numpy integer
+        for name in ("cutoff", "pa_percentile"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.correlation_kind not in (PEARSON, TETRACHORIC):
             raise ValueError(f"unknown correlation kind {self.correlation_kind!r}")
         if self.extraction_method not in (PCA, PAF):
@@ -99,8 +114,6 @@ class RunConfig:
             raise ValueError(
                 "criterion 'auto' needs items_per_component_hint and expected_components_hint"
             )
-        if self.pa_reps < 1:
-            raise ValueError(f"pa_reps must be at least 1, got {self.pa_reps}")
         if not 0.0 < self.pa_percentile < 1.0:
             raise ValueError(f"pa_percentile must be in (0, 1), got {self.pa_percentile}")
         if not np.isfinite(self.cutoff):
@@ -108,12 +121,6 @@ class RunConfig:
         problem = _delimiter_error(self.delimiter)
         if problem:
             raise ValueError(problem)
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for name in ("items_per_component_hint", "expected_components_hint"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 class _ColumnChunks:
@@ -324,15 +331,6 @@ class AnalysisResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _screening_dataset(data: Dataset, ind: IndicatorMatrix) -> Dataset:
-    """Original columns plus indicators as categorical "0"/"1" codes."""
-    return Dataset(
-        column_names=list(data.column_names) + list(ind.column_names),
-        columns=list(data.columns) + [ind.values[:, j].view(np.int8) for j in range(ind.k)],
-        levels=list(data.levels) + [["0", "1"]] * ind.k,
-    )
-
-
 def analyze(config: RunConfig) -> AnalysisResult:
     """Run the full pipeline per the configuration.
 
@@ -361,7 +359,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     # step 1: indicators and pattern tabulation
     data, ind, patterns = tabulate(config)
     done("step1-indicators", f"{ind.k} indicator columns, {patterns.n_observed_patterns} patterns")
-    # the screens read the data columns and the indicators from one Dataset
+    # screens.csv names rows by variable, data columns and indicators alike
     for name in ind.column_names:
         if name in data.column_names:
             raise PipelineError(
@@ -436,10 +434,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
     if n_fully:
         notes.append(f"{n_fully} fully missing row(s) excluded from screens and fits")
     # the screens read each group's usable rows by index, so no column is
-    # copied whether or not rows are excluded
-    screen_data = _screening_dataset(data, ind)
-    # the stratifying column itself is not screened
-    screen_vars = [name for name in screen_data.column_names if name != config.strata_column]
+    # copied whether or not rows are excluded; the stratifying column itself
+    # is not screened
+    screen_vars = [name for name in data.column_names if name != config.strata_column]
 
     screen_rows: list[tuple[str, str, ScreenResult]] = []
     logistic_rows: list[tuple[str, str, str, LogisticFit]] = []
@@ -449,10 +446,12 @@ def analyze(config: RunConfig) -> AnalysisResult:
         cov = cov[usable]
         keep = np.isfinite(cov).all(axis=1)
 
+    x_ind = ind.values[usable]  # uint8; only a fit that does not certify casts a float64 design
     # (label, flags over the usable rows, separating start of the joint
-    # fits) of each component with both classes; the start is the score's
-    # own map, cut midway between the classes' scores
-    testable: list[tuple[str, np.ndarray, np.ndarray]] = []
+    # fits, the indicators' 2x2 tables against the flags) of each component
+    # with both classes; the start is the score's own map, cut midway
+    # between the classes' scores
+    testable: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
     for j, flag in enumerate(np.array(comp_scores.dichotomized[usable].T, dtype=int, order="C")):
         label = f"component_{j + 1}"
         if flag.min() == flag.max():
@@ -460,19 +459,15 @@ def analyze(config: RunConfig) -> AnalysisResult:
             continue
         s = comp_scores.scores[usable, j]
         gap = (s[flag == 0].max() + s[flag == 1].min()) / 2.0
-        testable.append((label, flag, np.r_[comp_scores.intercepts[j] - gap, comp_scores.slopes[:, j]]))
-        for res in mechanism.screen(screen_data, flag, screen_vars, usable):
-            screen_rows.append((label, "", res))
+        tables = mechanism.indicator_tables(x_ind, flag)
+        testable.append((label, flag, np.r_[comp_scores.intercepts[j] - gap, comp_scores.slopes[:, j]], tables))
+        screens = mechanism.screen(data, flag, screen_vars, usable) + mechanism.screen_tables(tables, indicator_names)
+        screen_rows += [(label, "", res) for res in screens]
     done("step6-screens", f"{len(screen_rows)} screen rows across {len(testable)} component(s)")
 
-    x_ind = ind.values[usable]  # uint8; only a fit that does not certify casts a float64 design
     # a fit on one 0/1 indicator is a closed function of its 2x2 table
     # against the flag
-    n_ones = x_ind.sum(axis=0, dtype=np.int64)
-    for label, flag, start in testable:
-        both = x_ind[flag == 1].sum(axis=0, dtype=np.int64)
-        n_high = flag.sum()
-        tables = np.column_stack([both, n_ones - both, n_high - both, len(flag) - n_ones - n_high + both])
+    for label, flag, start, tables in testable:
         for ind_name, counts in zip(indicator_names, tables):
             logistic_rows.append((label, "", f"simple:{ind_name}", mechanism.fit_table(counts, ind_name)))
         logistic_rows.append(
@@ -491,9 +486,9 @@ def analyze(config: RunConfig) -> AnalysisResult:
         n_unplaced = int(data.missing_mask(config.strata_column)[usable].sum())
         if n_unplaced:
             notes.append(f"{n_unplaced} usable row(s) missing {config.strata_column!r} left out of strata")
-        for label, flag, start in testable:
+        for label, flag, start, _ in testable:
             reruns = mechanism.stratified_rerun(
-                screen_data, flag, config.strata_column, screen_vars, x_ind, indicator_names, start, usable
+                data, flag, config.strata_column, screen_vars, x_ind, indicator_names, start, usable
             )
             for res in reruns:
                 strata_results.append(res)

@@ -50,6 +50,18 @@ def take(data, rows):
     )
 
 
+def indicator_dataset(values, names):
+    """The 0/1 columns of ``values`` as categorical columns with levels "0"
+    and "1": with ``reference_screen``, the reference for the indicator
+    screens, which read each indicator's 2×2 table instead."""
+    values = np.asarray(values)
+    return Dataset(
+        column_names=list(names),
+        columns=[values[:, j].astype(np.int8) for j in range(values.shape[1])],
+        levels=[["0", "1"]] * values.shape[1],
+    )
+
+
 def reference_screen(data, component_flag, variables, rows=None):
     """The screens by boolean masks: each variable copies its observed
     cells of ``rows`` (a boolean mask or indices; None for all), then each

@@ -16,14 +16,16 @@ from misscomp.mechanism import (
     LogisticFit,
     fit_logistic,
     fit_table,
+    indicator_tables,
     numeric_values,
     roc_auc,
     screen,
+    screen_tables,
     strata_levels,
     stratified_rerun,
 )
 
-from conftest import dataset_from_arrays, reference_screen, small_walk, take
+from conftest import dataset_from_arrays, indicator_dataset, reference_screen, small_walk, take
 
 
 def pairwise_auc(scores, labels):
@@ -170,8 +172,8 @@ class TestScreen:
 def screen_case(rng, n):
     """A dataset of every kind of screened column: numeric with NaN cells,
     a constant numeric column, categorical codes with -1 cells and a rare
-    level, int8 codes up to 127 (the largest int8) and 0/1 indicators
-    viewed as int8 codes, strided as the pipeline views them."""
+    level, int8 codes up to 127 (the largest int8) and 0/1 codes viewed as
+    int8 from the columns of a uint8 matrix, so strided."""
     x = rng.normal(size=n)
     x[rng.random(n) < 0.2] = np.nan
     const = np.full(n, 3.0)
@@ -227,6 +229,71 @@ class TestScreenOracle:
                 if (data.columns[3][index] == 127).any() and by_name["wide"].testable:
                     seen.add("code 127")
         assert seen == {"constant numeric", "constant indicator", "level in one group", "code 127"}
+
+
+class TestIndicatorScreens:
+    """The indicator screens read each indicator's 2×2 table; the reference
+    screens the indicator as a categorical "0"/"1" column. The results must
+    agree field for field, to the last bit."""
+
+    def test_tables_equal_brute_force_counts(self, rng):
+        for _ in range(20):
+            n, k = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+            x = (rng.random((n, k)) < rng.random(k)).astype(np.uint8)
+            flag = (rng.random(n) < 0.4).astype(int)
+            tables = indicator_tables(x, flag)
+            assert tables.shape == (k, 4)
+            for j in range(k):
+                cells = list(zip(x[:, j].tolist(), flag.tolist()))
+                assert tables[j].tolist() == [cells.count(cell) for cell in [(1, 1), (1, 0), (0, 1), (0, 0)]]
+            np.testing.assert_array_equal(indicator_tables(x.astype(bool), flag), tables)
+
+    def test_screens_equal_the_categorical_reference(self, rng):
+        seen = set()
+        for _ in range(40):
+            n, k = int(rng.integers(6, 120)), 4
+            x = (rng.random((n, k)) < [0.05, 0.3, 0.6, 0.3]).astype(np.uint8)
+            x[rng.random(n) < 0.1] = 1  # rows missing every item
+            x[:, 3] *= x[:, 0]  # m4 is 0 wherever m1 is
+            names = ["m1", "m2", "m3", "m4"]
+            oracle = indicator_dataset(x, names)
+            usable = np.flatnonzero(~x.all(axis=1))
+            flag = (rng.random(len(usable)) < 0.4).astype(int)
+            one_high = np.zeros(len(usable), dtype=int)
+            one_high[0] = 1
+            no_m1 = usable[x[usable, 0] == 0]  # m1 and m4 constant over these
+            for how, rows, f in [
+                ("usable", usable, flag),
+                ("one flagged row", usable, one_high),
+                ("m1 constant", no_m1, (rng.random(len(no_m1)) < 0.5).astype(int)),
+            ]:
+                got = screen_tables(indicator_tables(x[rows], f), names)
+                assert repr(got) == repr(reference_screen(oracle, f, names, rows)), how
+                seen.update(r.reason.split(" (")[0] for r in got if not r.testable)
+        assert seen == {
+            "fewer than 2 observed values in a group",
+            "contingency table has a single populated row or column",
+        }
+
+    def test_stratum_screens_equal_the_categorical_reference(self, rng):
+        n = 300
+        g = rng.choice(["a", "b", "c"], size=n)
+        x = (rng.random((n, 3)) < [0.1, 0.4, 0.7]).astype(np.uint8)
+        x[g == "c", 0] = 0  # m1 constant in stratum c
+        z = rng.normal(size=n)
+        flag = (rng.random(n) < 0.2 + 0.5 * x[:, 1]).astype(int)
+        names = ["m1", "m2", "m3"]
+        oracle = indicator_dataset(x, names)
+        data = dataset_from_arrays({"z": list(z), "g": list(g)})
+        results = stratified_rerun(data, flag, "g", ["z"], x, names)
+        assert [r.stratum for r in results] == ["a", "b", "c"]
+        for res in results:
+            rows = np.flatnonzero(g == res.stratum)
+            # the variables first, then the design columns from their tables
+            assert repr(res.screens) == repr(
+                screen(data, flag[rows], ["z"], rows) + reference_screen(oracle, flag[rows], names, rows)
+            )
+        assert not results[2].screens[1].testable
 
 
 class TestRocAuc:
@@ -916,8 +983,9 @@ class TestStratifiedRerun:
         n = 240
         g = rng.choice(["a", "b", "c"], size=n)
         g[:3] = ["a", "b", "c"]
-        design = rng.normal(size=(n, 3))
-        start = np.r_[-0.2, 1.0, 0.5, -1.0]
+        # no subset sum of the slopes is 0.75, so the start splits every row strictly
+        design = (rng.random((n, 3)) < 0.4).astype(np.uint8)
+        start = np.r_[-0.75, 1.0, 0.5, -1.0]
         flag = (start[0] + design @ start[1:] > 0).astype(int)
         names = ["m1", "m2", "m3"]
         results = stratified_rerun(dataset_from_arrays({"g": list(g)}), flag, "g", [], design, names, start)
@@ -961,6 +1029,22 @@ class TestStratifiedRerun:
         data = dataset_from_arrays({"x": [1.0, 2.0, 3.0, 4.0], "g": ["a", "a", "b", "b"]})
         with pytest.raises(ValueError, match="binary"):
             stratified_rerun(data, np.array([0.5, 1.0, 0.0, 1.5]), "g", ["x"], np.empty((4, 0)), [])
+
+    def test_design_of_another_length_rejected(self):
+        # refused, not fitted on the 4 + 4 design rows the strata index
+        data = dataset_from_arrays({"g": list("aaaabbbb")})
+        flag = np.array([0, 1, 0, 1, 0, 1, 1, 0])
+        match = r"^design has shape \(10, 1\); it needs one row per component_flag row, 8$"
+        with pytest.raises(ValueError, match=match):
+            stratified_rerun(data, flag, "g", [], np.zeros((10, 1)), ["m1"])
+
+    @pytest.mark.parametrize("cell", [2, 0.5, -1, np.nan])
+    def test_design_that_is_not_binary_rejected(self, cell):
+        data = dataset_from_arrays({"g": list("aaaabbbb")})
+        design = np.array([[0, 1], [1, 0], [0, 0], [1, 1], [0, 1], [1, 0], [0, 0], [1, 1]], dtype=np.float64)
+        design[3, 1] = cell
+        with pytest.raises(ValueError, match="^design must be binary$"):
+            stratified_rerun(data, np.array([0, 1, 0, 1, 0, 1, 1, 0]), "g", [], design, ["m1", "m2"])
 
     def test_unknown_stratum_column(self, small_dataset):
         with pytest.raises(KeyError):

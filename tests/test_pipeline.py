@@ -35,8 +35,10 @@ from misscomp.pipeline import (
 )
 from misscomp.correlation import TETRACHORIC
 from misscomp.extraction import PAF
-from misscomp.mechanism import fit_logistic
+from misscomp.mechanism import fit_logistic, strata_levels
 from misscomp.retention import CRITERIA
+
+from conftest import indicator_dataset, reference_screen
 
 
 def write_csv(path, header, rows):
@@ -396,6 +398,41 @@ class TestRunConfig:
     def test_rejects_bad_values(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             RunConfig(input_path="x.csv", **kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("pa_reps", 2.5),
+            ("pa_reps", True),
+            ("pa_reps", None),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", "7"),
+            ("items_per_component_hint", 5.0),
+            ("expected_components_hint", True),
+            ("cutoff", "x"),
+            ("cutoff", True),
+            ("cutoff", None),
+            ("pa_percentile", "0.95"),
+        ],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, name, value):
+        # refused when made, before analyze or a comparison reads the value
+        kind = "a real number" if name in ("cutoff", "pa_percentile") else "an integer"
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {value!r}$"):
+            RunConfig(input_path="x.csv", **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}"):
+            replace(RunConfig(input_path="x.csv"), **{name: value})
+
+    def test_numpy_numbers_are_accepted_and_integers_stored_as_int(self):
+        config = RunConfig(
+            input_path="x.csv", pa_reps=np.int64(9), seed=np.uint8(3), cutoff=np.float64(0.5),
+            pa_percentile=np.float32(0.9), criterion="auto",
+            items_per_component_hint=np.int32(4), expected_components_hint=np.int16(2),
+        )
+        for name in ("pa_reps", "seed", "items_per_component_hint", "expected_components_hint"):
+            assert type(getattr(config, name)) is int, name
+        json.dumps(pipeline._settings(replace(config, pa_percentile=0.9)))
 
     @pytest.mark.parametrize("name", ["missing_sentinels", "columns", "covariate_columns", "output_formats"])
     def test_rejects_a_bare_string_for_a_sequence(self, name):
@@ -1198,6 +1235,37 @@ class TestGoldenBundle:
             assert (fit.auc, fit.sensitivity, fit.specificity, fit.n) == (
                 rows.auc, rows.sensitivity, rows.specificity, rows.n
             )
+
+    @pytest.mark.parametrize("items_only", [True, False], ids=["rows excluded", "site_miss constant"])
+    def test_indicator_screens_equal_the_categorical_reference(self, golden_csv, tmp_path, items_only):
+        # analyze screens each indicator from its 2x2 table; the reference
+        # screens it as a categorical "0"/"1" column over the same rows: the
+        # usable rows, then each site's among them. With the items alone,
+        # some rows miss every indicator; with site_miss too, none does, and
+        # site_miss is 0 on every row placed in a site
+        columns = [f"item{j + 1}" for j in range(4)] if items_only else None
+        result = analyze(self.config(golden_csv, tmp_path, columns=columns))
+        names = result.ind.column_names
+        oracle = indicator_dataset(result.ind.values, names)
+        usable = np.flatnonzero(~result.scores.fully_missing)
+        assert (len(usable) < result.ind.n) == items_only
+        codes, levels, seen = strata_levels(result.data, "site", usable)
+        reasons = set()
+        for j in range(result.q):
+            label = f"component_{j + 1}"
+            flag = result.scores.dichotomized[usable, j].astype(int)
+            want = {"": reference_screen(oracle, flag, names, usable)}
+            for code in seen:
+                rows = codes == code
+                want[f"site={levels[code]}"] = reference_screen(oracle, flag[rows], names, usable[rows])
+            got = {stratum: [] for stratum in want}
+            for comp, stratum, res in result.screen_rows:
+                if comp == label and res.variable in names:
+                    got[stratum].append(res)
+            assert repr(got) == repr(want)
+            reasons.update(res.reason for screens in got.values() for res in screens)
+        constant = "contingency table has a single populated row or column"
+        assert (constant in reasons) != items_only
 
     def test_joint_fits_certify_at_the_score_direction(self, golden_csv, tmp_path):
         # with the items alone as indicators no column is constant within a
